@@ -1,0 +1,65 @@
+"""Pinned lsh-mode runs: center orderings, traces and values must not move.
+
+Each case is a fixed-seed run whose centers, descent traces and ball values
+are hashed and compared with digests recorded from a known-good build.  A
+refactor that claims to keep behaviour must keep these digests.  Between
+them the runs' levels use all three neighborhood-index kinds (whole set,
+duplicate groups and grid LSH), so the degenerate shortcuts are pinned too.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from kzclust import greedy
+from kzclust.metric import ClusterParams, normalize
+
+from conftest import mixture_dataset, with_duplicates
+
+
+def _with_duplicates_k30():
+    ds = with_duplicates(240, 2, seed=5, dup_fraction=0.3)
+    return greedy.solve(ds, ClusterParams(k=30, seed=3), 30, mode="lsh")
+
+
+def _mixture_full_ordering():
+    ds = mixture_dataset(160, 2, 6, 0.03, seed=7)
+    params = ClusterParams(k=160, seed=4)
+    scaled, info = normalize(ds, params.c)
+    state = greedy.init(scaled, params, info, mode="lsh")
+    return greedy.run_incremental(state), state
+
+
+PINNED = {
+    "duplicates-k30": (_with_duplicates_k30, 30, "dedaff9ad0275fa5", "6a5908704ee8941b"),
+    "mixture-full": (_mixture_full_ordering, 160, "6f5f4ddd7d8ede5e", "dd6791926fbfdcf7"),
+}
+
+INDEX_KINDS = {"_AllPointsIndex", "_DuplicateGroupIndex", "NeighborhoodIndex"}
+
+
+def _ordering_digest(sol) -> str:
+    doc = {"centers": sol.centers, "traces": [[list(b) for b in t] for t in sol.traces]}
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()[:16]
+
+
+def _index_kinds(state) -> set[str]:
+    return {type(ix).__name__ for ix in state.seq_indexes + state.rem_indexes}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_pinned_run(case):
+    make, achieved, ordering, values = PINNED[case]
+    sol, state = make()
+    assert sol.achieved_k == achieved and not sol.early_terminated
+    assert _ordering_digest(sol) == ordering
+    assert hashlib.sha256(state.values.tobytes()).hexdigest()[:16] == values
+
+
+def test_pinned_runs_cover_every_index_kind():
+    kinds = set()
+    for make, *_ in PINNED.values():
+        _, state = make()
+        kinds |= _index_kinds(state)
+    assert kinds == INDEX_KINDS
