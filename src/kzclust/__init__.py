@@ -21,7 +21,7 @@ from .metric import (
     radius_at_level,
 )
 from .oracles import OptResult, brute_optimal, kmeanspp, transcribed_algorithm
-from .sketch import DistinctSketch, compute_values, exact_nval
+from .sketch import DistinctSketch, compute_values
 
 __version__ = "0.1.0"
 
@@ -41,7 +41,6 @@ __all__ = [
     "cost",
     "descend",
     "distance",
-    "exact_nval",
     "init",
     "jl_project",
     "kmeanspp",

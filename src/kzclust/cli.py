@@ -63,10 +63,14 @@ def _parse_csv(path: str) -> Dataset:
                     f"{path}: line {lineno}: ragged row, expected {width} fields, got {len(fields)}"
                 )
             try:
-                rows.append([float(tok) for tok in fields])
+                row = [float(tok) for tok in fields]
             except ValueError:
                 bad = next(tok for tok in fields if not _is_float(tok))
                 raise DataError(f"{path}: line {lineno}: non-numeric field {bad!r}") from None
+            if not all(math.isfinite(x) for x in row):
+                bad = next(tok for tok, x in zip(fields, row) if not math.isfinite(x))
+                raise DataError(f"{path}: line {lineno}: non-finite field {bad!r}")
+            rows.append(row)
     if not rows:
         raise DataError(f"{path}: empty dataset")
     return Dataset(np.array(rows, dtype=np.float64))
@@ -95,8 +99,11 @@ def _parse_f32le(path: str) -> Dataset:
             f"{path}: truncated binary payload, expected {expected} bytes, "
             f"got {len(blob)} (short at offset {len(blob)})"
         )
-    flat = np.frombuffer(blob[8:expected], dtype="<f4")
-    return Dataset(flat.astype(np.float64).reshape(n, d))
+    points = np.frombuffer(blob[8:expected], dtype="<f4").astype(np.float64).reshape(n, d)
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if bad.size:
+        raise DataError(f"{path}: point {bad[0]}: non-finite coordinate")
+    return Dataset(points)
 
 
 def ingest(path: str, fmt: str | None = None) -> Dataset:
@@ -301,7 +308,13 @@ def _make_params(args, n: int) -> ClusterParams:
         raise UsageError(f"k={args.k} exceeds the dataset size n={n}")
     if args.z < 1:
         raise UsageError(f"z must be >= 1, got {args.z}")
+    _check_delta(args.delta_failure)
     return ClusterParams(k=args.k, z=args.z, c=args.c, seed=args.seed)
+
+
+def _check_delta(delta: float | None) -> None:
+    if delta is not None and not 0.0 < delta < 1.0:
+        raise UsageError(f"--delta-failure must be in (0, 1), got {delta}")
 
 
 def _cmd_cluster(args) -> int:
@@ -322,6 +335,10 @@ def _cmd_cluster(args) -> int:
 def _cmd_eval(args) -> int:
     report = json.loads(Path(args.report).read_text(encoding="utf-8"))
     ds = ingest(args.input, args.format)
+    shape = (report["input"]["n"], report["input"]["d"])
+    if shape != (ds.n, ds.d):
+        raise DataError(f"{args.input}: dataset has n={ds.n} d={ds.d}, but the report was "
+                        f"made from n={shape[0]} d={shape[1]}")
     centers = report["result"]["centers"]
     z = report["params"]["z"]
     ok = True
@@ -342,6 +359,7 @@ def _cmd_bench(args) -> int:
         raise UsageError(f"bad --sizes list {args.sizes!r}") from None
     if not sizes or any(s < 1 for s in sizes):
         raise UsageError("--sizes must be positive integers")
+    _check_delta(args.delta_failure)
     result = run_bench(sizes, args.d, args.k, args.z, args.c, args.seed,
                        args.clusters, args.spread, args.mode, args.delta_failure)
     print(f"{'n':>8}  {'normalize':>10}  {'init':>10}  {'greedy':>10}  {'total':>10}")
@@ -421,12 +439,13 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
+    except (ValueError, OverflowError) as exc:
+        # Parameters the library cannot run on this input: table count, z.
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2
 
 
 if __name__ == "__main__":

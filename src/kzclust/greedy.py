@@ -3,7 +3,11 @@
 Preprocessing values every ball B(p, radius_at(level)) over all points p and
 all levels, then builds, per level, a "sequence" neighborhood index at radius
 10c·R (never mutated) and a "removal" index at radius 100c^4·R (points are
-deleted from it as centers claim them).
+deleted from it as centers claim them).  In lsh mode each of these radii is
+classified once by lsh.radius_kind: a grid radius gets bucket-sketch values
+and grid-LSH tables, a degenerate one (whole set or duplicate groups) gets
+group estimates and a table-free index, both exact about which points the
+ball holds.  Exact mode counts and scans instead.
 
 Each iteration pops the available ball with the largest value, walks it down
 one level at a time -- always moving to the neighbor whose next-level ball
@@ -21,24 +25,20 @@ is immutable and freely shareable.
 from __future__ import annotations
 
 import logging
+import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from . import lsh, sketch
-from .metric import (
-    ClusterParams,
-    Dataset,
-    ScaleInfo,
-    bbox_diagonal,
-    cost,
-    level_radii,
-    normalize,
-)
+from .metric import ClusterParams, Dataset, ScaleInfo, bbox_diagonal, level_radii, normalize
 from .seeding import derive_seed
 
 logger = logging.getLogger(__name__)
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class BallRef(NamedTuple):
@@ -50,18 +50,12 @@ class BallRef(NamedTuple):
 
 @dataclass(frozen=True)
 class Solution:
-    """Ordered centers with per-center descent traces.
-
-    prefix_costs[k] is cost(P, centers[:k]) for each requested k, computed
-    on whatever dataset the caller evaluated against (raw coordinates from
-    the CLI; tests choose explicitly).
-    """
+    """Ordered centers with per-center descent traces."""
 
     centers: list[int]
     traces: list[list[BallRef]]
     early_terminated: bool
     achieved_k: int
-    prefix_costs: dict[int, float] | None = None
 
     def prefix(self, k: int) -> list[int]:
         return self.centers[:k]
@@ -95,16 +89,6 @@ class AvailableSet:
         self._order = np.lexsort((levels, ids, -values.ravel()))
         self._avail = np.ones(total, dtype=bool)
         self._cursor = 0
-        self._values = values
-
-    def _flat(self, point: int, level: int) -> int:
-        return level * self.n + point
-
-    def is_available(self, point: int, level: int) -> bool:
-        return bool(self._avail[self._flat(point, level)])
-
-    def clear(self, point: int, level: int) -> None:
-        self._avail[self._flat(point, level)] = False
 
     def clear_many(self, points: np.ndarray, level: int) -> None:
         self._avail[level * self.n + np.asarray(points)] = False
@@ -114,17 +98,6 @@ class AvailableSet:
 
     def available_count(self) -> int:
         return int(self._avail.sum())
-
-    def peek(self) -> tuple[BallRef, float] | None:
-        """Largest available ball and its value, without consuming it."""
-        cur = self._cursor
-        while cur < len(self._order) and not self._avail[self._order[cur]]:
-            cur += 1
-        if cur == len(self._order):
-            return None
-        flat = self._order[cur]
-        ref = BallRef(int(flat % self.n), int(flat // self.n))
-        return ref, float(self._values[ref.level, ref.point])
 
     def pop(self) -> BallRef | None:
         """Consume and return the largest available ball, or None."""
@@ -136,67 +109,6 @@ class AvailableSet:
         self._avail[flat] = False
         self._cursor += 1
         return BallRef(int(flat % self.n), int(flat // self.n))
-
-    def snapshot(self) -> np.ndarray:
-        """Availability bitmap, shape (num_levels, n)."""
-        return self._avail.reshape(self.num_levels, self.n).copy()
-
-
-class _AllPointsIndex:
-    """Neighborhood structure for radii that cover the whole point set.
-
-    When the query radius is at least the data diameter, B(p, R) contains
-    every point, so returning all live points satisfies both sides of the
-    neighborhood sandwich deterministically.
-    """
-
-    def __init__(self, n: int):
-        self.live = np.ones(n, dtype=bool)
-
-    def query(self, point_id: int) -> np.ndarray:
-        return np.flatnonzero(self.live)
-
-    def remove(self, point_id: int) -> None:
-        self.live[point_id] = False
-
-    def remove_many(self, point_ids: np.ndarray) -> None:
-        self.live[point_ids] = False
-
-
-class _DuplicateGroupIndex:
-    """Neighborhood structure for radii below the minimum nonzero distance.
-
-    After normalization distinct points are at distance >= 1, so when
-    c·radius < 1 both B(p, R) and B(p, c·R) contain exactly the duplicates
-    of p; returning p's live duplicate group satisfies the sandwich.
-    """
-
-    def __init__(self, group_of: np.ndarray, order: np.ndarray, offsets: np.ndarray):
-        self.group_of = group_of
-        self.order = order
-        self.offsets = offsets
-        self.live = np.ones(len(group_of), dtype=bool)
-
-    def query(self, point_id: int) -> np.ndarray:
-        g = self.group_of[point_id]
-        members = self.order[self.offsets[g] : self.offsets[g + 1]]
-        return members[self.live[members]]
-
-    def remove(self, point_id: int) -> None:
-        self.live[point_id] = False
-
-    def remove_many(self, point_ids: np.ndarray) -> None:
-        self.live[point_ids] = False
-
-
-def _duplicate_groups(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    _, group_of = np.unique(points, axis=0, return_inverse=True)
-    group_of = group_of.astype(np.int64)
-    order = np.argsort(group_of, kind="stable").astype(np.int64)
-    num_groups = int(group_of.max()) + 1 if len(group_of) else 0
-    sizes = np.bincount(group_of, minlength=num_groups)
-    offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
-    return group_of, order, offsets
 
 
 class GreedyState:
@@ -225,84 +137,58 @@ class GreedyState:
         return self.info.num_levels
 
 
-def _neighborhood_index(ds: Dataset, radius: float, params: ClusterParams, delta: float,
-                        seed: int, mode: str, num_levels: int, diag: float,
-                        dup_groups) -> object:
-    if mode == "exact":
-        return lsh.build(ds, radius, c=params.c, delta=delta, seed=seed, mode="exact")
-    # Degenerate radii admit structures that meet the sandwich with
-    # probability 1, at a fraction of the table cost.
-    if radius >= diag * (1.0 + 1e-9):
-        return _AllPointsIndex(ds.n)
-    if params.c * radius < 0.999999:
-        return _DuplicateGroupIndex(*dup_groups)
-    return lsh.build(ds, radius, c=params.c, delta=delta, seed=seed, mode="lsh",
-                     num_levels=num_levels)
-
-
-def _lsh_values(ds: Dataset, params: ClusterParams, info: ScaleInfo, delta: float,
-                diag: float, dup_groups) -> np.ndarray:
-    """Per-level estimated ball values, shape (num_levels, n).
-
-    Mid-range radii run the full bucket-sketch pipeline.  A radius covering
-    the whole set estimates |P| once; a radius with c·R below the minimum
-    distance estimates each duplicate group.  All three cases satisfy the
-    factor-3 sandwich against |B(p, R)| and |B(p, c·R)|.
-    """
-    n = ds.n
-    radii = level_radii(info, params.c)
-    values = np.empty((info.num_levels, n), dtype=np.float64)
-    copies = sketch.default_copies(n)
-    group_of, order, offsets = dup_groups
-    for lvl in range(info.num_levels):
-        radius = float(radii[lvl])
-        seed = derive_seed(params.seed, "values", lvl)
-        rz = radius**params.z
-        if radius >= diag * (1.0 + 1e-9):
-            whole = sketch.sketch_of(np.arange(n), copies, seed)
-            values[lvl, :] = whole.estimate() * rz
-        elif params.c * radius < 0.999999:
-            ranks = sketch.rank_matrix(np.arange(n), copies, seed)
-            group_max = np.maximum.reduceat(ranks[order], offsets[:-1], axis=0)
-            est = np.median(2.0 ** group_max.astype(np.float64), axis=1)
-            values[lvl, :] = est[group_of] * rz
-        else:
-            values[lvl, :] = sketch.compute_values(
-                ds, radius, c=params.c, z=params.z, delta=delta, seed=seed,
-                mode="lsh", num_levels=info.num_levels,
-            )
-    return values
-
-
 def init(ds: Dataset, params: ClusterParams, info: ScaleInfo, mode: str = "lsh",
          delta: float | None = None, instrument: bool = False) -> GreedyState:
-    """Preprocess a normalized dataset: values, availability, index families."""
+    """Preprocess a normalized dataset: values, availability, index families.
+
+    Every level's values are computed before any index is built, so no
+    value-estimation tables are held beside the retained indexes.
+    """
     if mode not in ("exact", "lsh"):
         raise ValueError(f"unknown mode {mode!r}")
     n = ds.n
     if delta is None:
         delta = min(0.5, 1.0 / (n * n))
     radii = level_radii(info, params.c)
-
-    diag = bbox_diagonal(ds.points)
-    dup_groups = _duplicate_groups(ds.points)
+    if math.log(n) + params.z * math.log(radii[0]) > _LOG_FLOAT_MAX:
+        raise ValueError(f"ball values n·R^z exceed the float range at z={params.z}; "
+                         "use a smaller z")
 
     if mode == "exact":
         counts = sketch.exact_counts(ds, radii)
         values = counts.astype(np.float64) * (radii**params.z)[:, None]
+
+        def index(radius: float, seed: int):
+            return lsh.build(ds, radius, c=params.c, delta=delta, seed=seed, mode="exact")
     else:
-        values = _lsh_values(ds, params, info, delta, diag, dup_groups)
+        diag = bbox_diagonal(ds.points)
+        groups = lsh.degenerate_groups(ds.points)
+        values = np.empty((info.num_levels, n), dtype=np.float64)
+        for lvl in range(info.num_levels):
+            radius = float(radii[lvl])
+            seed = derive_seed(params.seed, "values", lvl)
+            kind = lsh.radius_kind(radius, params.c, diag)
+            if kind == "grid":
+                values[lvl] = sketch.compute_values(
+                    ds, radius, c=params.c, z=params.z, delta=delta, seed=seed,
+                    num_levels=info.num_levels,
+                )
+            else:
+                values[lvl] = sketch.group_estimates(groups[kind], seed) * radius**params.z
+
+        def index(radius: float, seed: int):
+            kind = lsh.radius_kind(radius, params.c, diag)
+            if kind == "grid":
+                return lsh.build(ds, radius, c=params.c, delta=delta, seed=seed, mode="lsh",
+                                 num_levels=info.num_levels)
+            return lsh.degenerate_index(kind, groups[kind])
 
     seq_indexes = []
     rem_indexes = []
     for lvl in range(info.num_levels):
         radius = float(radii[lvl])
-        seq_indexes.append(_neighborhood_index(
-            ds, 10.0 * params.c * radius, params, delta,
-            derive_seed(params.seed, "seq", lvl), mode, info.num_levels, diag, dup_groups))
-        rem_indexes.append(_neighborhood_index(
-            ds, 100.0 * params.c**4 * radius, params, delta,
-            derive_seed(params.seed, "rem", lvl), mode, info.num_levels, diag, dup_groups))
+        seq_indexes.append(index(10.0 * params.c * radius, derive_seed(params.seed, "seq", lvl)))
+        rem_indexes.append(index(100.0 * params.c**4 * radius, derive_seed(params.seed, "rem", lvl)))
 
     stats = GreedyStats() if instrument else None
     return GreedyState(ds, params, info, mode, delta, values, seq_indexes, rem_indexes, stats)
@@ -392,21 +278,8 @@ def run_incremental(state: GreedyState) -> Solution:
 
 
 def solve(ds: Dataset, params: ClusterParams, k: int, mode: str = "lsh",
-          delta: float | None = None, instrument: bool = False,
-          eval_ks: list[int] | None = None) -> tuple[Solution, GreedyState]:
-    """Normalize, preprocess, and run; the one-call library entry point.
-
-    Prefix costs, when requested, are evaluated on the *input* coordinates.
-    """
+          delta: float | None = None, instrument: bool = False) -> tuple[Solution, GreedyState]:
+    """Normalize, preprocess, and run; the one-call library entry point."""
     scaled, info = normalize(ds, params.c)
     state = init(scaled, params, info, mode=mode, delta=delta, instrument=instrument)
-    solution = run(state, k)
-    if eval_ks:
-        prefix_costs = {
-            kk: cost(ds, solution.prefix(kk), params.z)
-            for kk in eval_ks
-            if 1 <= kk <= solution.achieved_k
-        }
-        solution = Solution(solution.centers, solution.traces, solution.early_terminated,
-                            solution.achieved_k, prefix_costs)
-    return solution, state
+    return run(state, k), state

@@ -14,21 +14,27 @@ L = ceil(e^(2d/c) · ln(n·num_levels/delta)) tables.
 In "exact" mode there are no tables and a query scans the live points;
 both sides of the sandwich then hold deterministically (N = B(p, R) ∩ live).
 
+On normalized data (distinct points at least 1 apart) two kinds of radius
+need no tables at all, and radius_kind is the one place that tells them
+apart: a radius at least the bounding-box diagonal ("all") puts every point
+in B(p, R), and one with c·R < 1 ("dup") puts only p's duplicates in
+B(p, c·R).  Their indexes answer from a DuplicateGroups partition -- the
+whole set as one group, or the exact-duplicate groups -- and meet the
+sandwich with probability 1.
+
 Concurrency: the build is pure per table; after build, queries are
-read-only, but remove() mutates and must not race with queries.
+read-only, but remove_many() mutates and must not race with queries.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .metric import Dataset, dists_from
-
-logger = logging.getLogger(__name__)
 
 _MAX_TABLES = 2_000_000
 
@@ -37,14 +43,16 @@ def num_tables(n: int, d: int, c: float, delta: float, num_levels: int = 1) -> i
     """Table count L = ceil(e^(2d/c) · ln(n·num_levels/delta))."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    raw = math.exp(2.0 * d / c) * math.log(n * num_levels / delta)
-    ell = max(1, math.ceil(raw))
-    if ell > _MAX_TABLES:
+    try:
+        raw = math.exp(2.0 * d / c) * math.log(n * num_levels / delta)
+    except OverflowError:
+        raw = math.inf
+    if raw > _MAX_TABLES:
         raise ValueError(
-            f"table count {ell} for d={d}, c={c} is impractical; "
+            f"table count {raw:.4g} for d={d}, c={c} is impractical; "
             "project the data to a lower dimension first"
         )
-    return ell
+    return max(1, math.ceil(raw))
 
 
 @dataclass
@@ -130,14 +138,8 @@ class NeighborhoodIndex:
         reach = self.c * self.radius
         return cand[sq <= reach * reach].astype(np.int64)
 
-    def remove(self, point_id: int) -> None:
-        """Mark a point dead; it never appears in later query results."""
-        if not self.live[point_id]:
-            logger.debug("remove of dead id %d on radius-%g index", point_id, self.radius)
-            return
-        self.live[point_id] = False
-
     def remove_many(self, point_ids: np.ndarray) -> None:
+        """Mark points dead; they never appear in later query results."""
         self.live[point_ids] = False
 
 
@@ -166,3 +168,71 @@ def build(ds: Dataset, radius: float, c: float = 5.0, delta: float | None = None
         _build_table(ds.points, cell_width, shifts[i], mixers[i]) for i in range(ell)
     ]
     return NeighborhoodIndex(ds, radius, c, mode, tables, seed)
+
+
+def radius_kind(radius: float, c: float, diag: float) -> str:
+    """Classify a query radius on normalized data with bounding-box diagonal diag.
+
+    "all" when B(p, radius) holds every point, "dup" when c·radius is below
+    the minimum distance 1 so B(p, c·radius) holds only p's duplicates, and
+    "grid" otherwise.  The margins keep rounding at either edge on the grid
+    side, which is correct at every radius.
+    """
+    if radius >= diag * (1.0 + 1e-9):
+        return "all"
+    if c * radius < 0.999999:
+        return "dup"
+    return "grid"
+
+
+class DuplicateGroups(NamedTuple):
+    """CSR partition of point ids: group g is order[offsets[g]:offsets[g+1]], ascending."""
+
+    group_of: np.ndarray
+    order: np.ndarray
+    offsets: np.ndarray
+
+
+def degenerate_groups(points: np.ndarray) -> dict[str, DuplicateGroups]:
+    """The partition each degenerate radius kind answers from, by kind."""
+    n = len(points)
+    _, group_of = np.unique(points, axis=0, return_inverse=True)
+    group_of = group_of.astype(np.int64)
+    order = np.argsort(group_of, kind="stable").astype(np.int64)
+    sizes = np.bincount(group_of)
+    offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+    whole = DuplicateGroups(np.zeros(n, dtype=np.int64), np.arange(n, dtype=np.int64),
+                            np.array([0, n], dtype=np.int64))
+    return {"all": whole, "dup": DuplicateGroups(group_of, order, offsets)}
+
+
+class _DuplicateGroupIndex:
+    """Neighborhood structure for radii below the minimum nonzero distance.
+
+    A query returns the live members of the point's group, which for a
+    "dup" radius is exactly B(p, R) ∩ live = B(p, c·R) ∩ live.
+    """
+
+    def __init__(self, groups: DuplicateGroups):
+        self.groups = groups
+        self.live = np.ones(len(groups.group_of), dtype=bool)
+
+    def query(self, point_id: int) -> np.ndarray:
+        g = self.groups.group_of[point_id]
+        members = self.groups.order[self.groups.offsets[g] : self.groups.offsets[g + 1]]
+        return members[self.live[members]]
+
+    def remove_many(self, point_ids: np.ndarray) -> None:
+        self.live[point_ids] = False
+
+
+class _AllPointsIndex(_DuplicateGroupIndex):
+    """Neighborhood structure for radii that cover the whole point set.
+
+    Built over the one-group partition, so a query returns every live point.
+    """
+
+
+def degenerate_index(kind: str, groups: DuplicateGroups) -> _DuplicateGroupIndex:
+    """Index for an "all" or "dup" radius over that kind's partition."""
+    return _AllPointsIndex(groups) if kind == "all" else _DuplicateGroupIndex(groups)

@@ -55,10 +55,6 @@ class Dataset:
     def d(self) -> int:
         return self.points.shape[1]
 
-    @property
-    def ids(self) -> np.ndarray:
-        return np.arange(self.n)
-
 
 @dataclass(frozen=True)
 class ClusterParams:
@@ -115,13 +111,26 @@ def dists_from(points: np.ndarray, idx: int) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
+def _unit_scaled(points: np.ndarray) -> tuple[np.ndarray, int]:
+    """Points times 2^-e, with e the binary exponent of the largest |coordinate|.
+
+    Distances of the scaled points are those of the input times 2^-e, so
+    their squares cannot overflow at any input magnitude; they underflow only
+    for gaps about 1e161 times smaller than the largest coordinate.
+    Power-of-two scaling is exact, so results scaled back with ldexp are
+    bit-identical to unscaled ones wherever those are finite and normal.
+    """
+    _, e = math.frexp(float(np.abs(points).max()))
+    return np.ldexp(points, -e), e
+
+
 def cost(ds: Dataset, centers: Sequence[int], z: float) -> float:
     """Clustering cost: sum over points of (distance to nearest center)^z."""
     center_ids = np.asarray(list(centers), dtype=np.int64)
     if center_ids.size == 0:
         raise ValueError("center set must be nonempty")
-    d = cdist(ds.points, ds.points[center_ids])
-    nearest = d.min(axis=1)
+    pts, e = _unit_scaled(ds.points)
+    nearest = np.ldexp(cdist(pts, pts[center_ids]).min(axis=1), e)
     return float(np.sum(nearest**z))
 
 
@@ -130,7 +139,7 @@ def min_nonzero_distance(points: np.ndarray) -> float | None:
 
     Duplicates are removed exactly first (the minimum is over distinct rows).
     """
-    uniq = np.unique(points, axis=0)
+    uniq, e = _unit_scaled(np.unique(points, axis=0))
     m = uniq.shape[0]
     if m < 2:
         return None
@@ -144,9 +153,14 @@ def min_nonzero_distance(points: np.ndarray) -> float | None:
             rows = np.arange(stop - start)
             block[rows, rows + start] = np.inf
             best = min(best, float(block.min()))
-        return math.sqrt(best)
-    dists, _ = cKDTree(uniq).query(uniq, k=2)
-    return float(dists[:, 1].min())
+        best = math.sqrt(best)
+    else:
+        dists, _ = cKDTree(uniq).query(uniq, k=2)
+        best = float(dists[:, 1].min())
+    if best == 0.0:
+        # Distinct rows whose squared gap underflows next to the largest coordinate.
+        raise ValueError("distances between distinct points span too wide a range for float64")
+    return math.ldexp(best, e)
 
 
 def _delta_exponent(diag: float, c: float) -> int:
@@ -241,9 +255,9 @@ def normalize(ds: Dataset, c: float) -> tuple[Dataset, ScaleInfo]:
 
 def bbox_diagonal(points: np.ndarray) -> float:
     """Bounding-box diagonal; an upper bound on the diameter."""
-    lo = points.min(axis=0)
-    hi = points.max(axis=0)
-    return float(np.sqrt(np.sum((hi - lo) ** 2)))
+    pts, e = _unit_scaled(points)
+    extent = pts.max(axis=0) - pts.min(axis=0)
+    return math.ldexp(float(np.sqrt(np.sum(extent**2))), e)
 
 
 def jl_project(ds: Dataset, target_dim: int, seed: int) -> Dataset:

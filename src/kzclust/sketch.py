@@ -16,6 +16,10 @@ probability 1 - delta this lands, for all points simultaneously, inside
 
     R^z · |B(p, R) ∩ P| / 3  <=  value[p]  <=  3 R^z · |B(p, c·R) ∩ P|.
 
+group_estimates is the same bucket step over a single partition, for the
+degenerate radii where one group already is the ball (lsh.radius_kind): the
+estimate then meets the sandwich for every point at once.
+
 Sketch contents are immutable once built by compute_values; construction
 can run level-parallel since streams are derived per level.
 """
@@ -104,19 +108,10 @@ class DistinctSketch:
             return 0.0
         return float(_median_estimate(self.registers))
 
-    def copy(self) -> "DistinctSketch":
-        return DistinctSketch(self.copies, self.seed, self.registers.copy())
-
 
 def sketch_of(point_ids: np.ndarray, copies: int, seed: int) -> DistinctSketch:
     """Sketch of a set of ids in one shot."""
     return DistinctSketch(copies, seed).insert_many(point_ids)
-
-
-def exact_nval(ds: Dataset, point_id: int, radius: float, z: float) -> float:
-    """Exact ball value |B(p, R) ∩ P| · R^z by linear scan."""
-    count = int(np.sum(dists_from(ds.points, point_id) <= radius))
-    return count * radius**z
 
 
 def exact_counts(ds: Dataset, radii: np.ndarray) -> np.ndarray:
@@ -130,29 +125,30 @@ def exact_counts(ds: Dataset, radii: np.ndarray) -> np.ndarray:
     return counts
 
 
+def _bucket_max(ranks: np.ndarray, order: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Register maxima per bucket of a CSR partition; shape (buckets, copies)."""
+    return np.maximum.reduceat(ranks[order], offsets[:-1], axis=0)
+
+
+def group_estimates(groups: lsh.DuplicateGroups, seed: int) -> np.ndarray:
+    """Estimated size of each point's group; shape (n,)."""
+    n = len(groups.group_of)
+    ranks = rank_matrix(np.arange(n), default_copies(n), seed)
+    return _median_estimate(_bucket_max(ranks, groups.order, groups.offsets))[groups.group_of]
+
+
 def compute_values(ds: Dataset, radius: float, c: float, z: float,
-                   delta: float | None = None, seed: int = 0, mode: str = "lsh",
-                   num_levels: int = 1, copies: int | None = None) -> np.ndarray:
-    """Estimated ball value at one radius for every point; shape (n,).
-
-    mode "exact" collapses both the index and the counting to their oracles,
-    returning exactly |B(p, R) ∩ P| · R^z.
-    """
+                   delta: float | None = None, seed: int = 0,
+                   num_levels: int = 1) -> np.ndarray:
+    """Estimated ball value at one radius for every point; shape (n,)."""
     n = ds.n
-    rz = radius**z
-    if mode == "exact":
-        return exact_counts(ds, np.array([radius]))[0].astype(np.float64) * rz
-    if mode != "lsh":
-        raise ValueError(f"unknown mode {mode!r}")
-
     index = lsh.build(ds, radius, c=c, delta=delta, seed=derive_seed(seed, "tables"),
                       mode="lsh", num_levels=num_levels)
-    t = copies if copies is not None else default_copies(n)
+    t = default_copies(n)
     ranks = rank_matrix(np.arange(n), t, derive_seed(seed, "ranks"))
 
     merged = np.full((n, t), _EMPTY_REGISTER, dtype=np.int8)
     for table in index.tables:
-        sorted_ranks = ranks[table.order]
-        bucket_max = np.maximum.reduceat(sorted_ranks, table.offsets[:-1], axis=0)
+        bucket_max = _bucket_max(ranks, table.order, table.offsets)
         np.maximum(merged, bucket_max[table.point_bucket], out=merged)
-    return _median_estimate(merged) * rz
+    return _median_estimate(merged) * radius**z

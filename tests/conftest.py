@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kzclust.metric import Dataset
+from kzclust.metric import Dataset, dists_from
 from kzclust.seeding import derive_seed
 
 
@@ -28,6 +28,12 @@ def with_duplicates(n: int, d: int, seed: int, dup_fraction: float = 0.4) -> Dat
         src = rng.integers(0, n - num_dups, size=num_dups)
         base[n - num_dups:] = base[src]
     return Dataset(base)
+
+
+def exact_nval(ds: Dataset, point_id: int, radius: float, z: float) -> float:
+    """Exact ball value |B(p, R) ∩ P| · R^z by linear scan."""
+    count = int(np.sum(dists_from(ds.points, point_id) <= radius))
+    return count * radius**z
 
 
 @pytest.fixture

@@ -159,8 +159,7 @@ def test_criterion_4_value_sandwich():
             radius = float(radii[lvl])
             vals = sketch.compute_values(
                 ds, radius, c=c, z=z, delta=1.0 / ds.n**2,
-                seed=derive_seed(seed, "values", lvl), mode="lsh",
-                num_levels=info.num_levels,
+                seed=derive_seed(seed, "values", lvl), num_levels=info.num_levels,
             )
             lo = radius**z * near_counts[lvl] / 3.0
             hi = 3.0 * radius**z * far_counts[lvl]

@@ -40,6 +40,12 @@ class TestIngestCsv:
         with pytest.raises(cli.DataError, match="line 2.*oops"):
             cli.ingest(str(p))
 
+    def test_non_finite_reports_line_and_field(self, tmp_path):
+        p = tmp_path / "nan.csv"
+        p.write_text("0,0\n1,nan\n2,2\n")
+        with pytest.raises(cli.DataError, match="line 2.*nan"):
+            cli.ingest(str(p))
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("# nothing\n")
@@ -70,6 +76,12 @@ class TestIngestBinary:
         p = tmp_path / "short.f32"
         p.write_bytes(struct.pack("<II", 4, 2) + b"\x00" * 10)
         with pytest.raises(cli.DataError, match="truncated"):
+            cli.ingest(str(p))
+
+    def test_non_finite_reports_point(self, tmp_path):
+        p = tmp_path / "inf.f32"
+        p.write_bytes(struct.pack("<II", 2, 2) + np.array([0, 1, np.inf, 2], "<f4").tobytes())
+        with pytest.raises(cli.DataError, match="point 1"):
             cli.ingest(str(p))
 
     def test_truncated_header(self, tmp_path):
@@ -160,6 +172,31 @@ class TestCluster:
     def test_missing_file_is_data_error(self, tmp_path):
         assert run_cli("cluster", str(tmp_path / "absent.csv"), "--k", "1") == 3
 
+    def test_nan_in_csv_is_data_error(self, tmp_path, capsys):
+        p = tmp_path / "nan.csv"
+        p.write_text("0,0\n1,nan\n2,2\n")
+        assert run_cli("cluster", str(p), "--k", "1") == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_delta_failure_out_of_range_is_usage_error(self, tmp_path, capsys):
+        p, _ = write_instance(tmp_path)
+        assert run_cli("cluster", str(p), "--k", "2", "--delta-failure", "2") == 2
+        assert "error: --delta-failure" in capsys.readouterr().err
+
+    def test_overflowing_z_is_usage_error(self, tmp_path, capsys):
+        p, _ = write_instance(tmp_path)
+        assert run_cli("cluster", str(p), "--k", "2", "--z", "1e308") == 2
+        assert "error: ball values" in capsys.readouterr().err
+
+    def test_extreme_magnitudes_give_every_center(self, tmp_path):
+        p = tmp_path / "big.csv"
+        p.write_text("1e160,0\n0,0\n3e160,0\n")
+        out = tmp_path / "r.json"
+        assert run_cli("cluster", str(p), "--k", "3", "--out", str(out)) == 0
+        result = json.loads(out.read_text())["result"]
+        assert sorted(result["centers"]) == [0, 1, 2]
+        assert not result["early_terminated"]
+
     def test_kmeanspp_baseline(self, tmp_path):
         p, ds = write_instance(tmp_path, n=20)
         out = tmp_path / "r.json"
@@ -186,6 +223,17 @@ class TestEval:
         run_cli("cluster", str(p), "--k", "4", "--eval-k", "1,4", "--out", str(out))
         assert run_cli("eval", str(out), str(p)) == 0
         assert "match" in capsys.readouterr().out
+
+    def test_report_from_another_dataset_is_data_error(self, tmp_path, capsys):
+        p, _ = write_instance(tmp_path, n=4, seed=2)
+        out = tmp_path / "r.json"
+        assert run_cli("cluster", str(p), "--k", "4", "--out", str(out)) == 0
+        other = tmp_path / "two.csv"
+        other.write_text("0,0\n1,1\n")
+        capsys.readouterr()
+        assert run_cli("eval", str(out), str(other)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "n=4" in err
 
 
 class TestBench:

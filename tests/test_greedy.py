@@ -6,9 +6,8 @@ import pytest
 from kzclust import greedy
 from kzclust.metric import ClusterParams, Dataset, cost, dists_from, level_radii, normalize
 from kzclust.oracles import brute_optimal
-from kzclust.sketch import exact_nval
 
-from conftest import uniform_dataset, with_duplicates
+from conftest import exact_nval, uniform_dataset, with_duplicates
 
 
 def exact_state(ds, params, instrument=False):
@@ -41,7 +40,8 @@ class TestInit:
             for pid in range(scaled.n)
             for lvl in range(info.num_levels)
         )
-        ref, val = state.avail.peek()
+        ref = state.avail.pop()
+        val = state.values[ref.level, ref.point]
         assert val == best
 
     def test_rejects_unknown_mode(self):
@@ -101,7 +101,7 @@ class TestRemoveAround:
         state, _, info = exact_state(ds, params)
         sol = greedy.run(state, 2)
         for cid in sol.centers:
-            assert not state.avail.is_available(cid, info.num_levels - 1)
+            assert not state.avail.available_mask(np.array([cid]), info.num_levels - 1)[0]
 
     def test_availability_bitmap_matches_replay(self):
         ds = uniform_dataset(30, 2, seed=10)
@@ -122,7 +122,8 @@ class TestRemoveAround:
                 hit = np.flatnonzero(live[lvl] & (dists_from(scaled.points, cid) <= reach))
                 avail[lvl, hit] = False
                 live[lvl][hit] = False
-        got = state.avail.snapshot()
+        got = np.stack([state.avail.available_mask(np.arange(n), lvl)
+                        for lvl in range(info.num_levels)])
         # The run also consumes each popped head; in exact mode those heads
         # are inside the removal reach, so the bitmaps agree exactly.
         assert np.array_equal(got, avail)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from kzclust import lsh
-from kzclust.metric import Dataset, dists_from
+from kzclust.metric import Dataset, bbox_diagonal, dists_from, normalize
 
-from conftest import uniform_dataset
+from conftest import uniform_dataset, with_duplicates
 
 
 def brute_ball(ds, pid, radius):
@@ -60,6 +60,10 @@ class TestBuild:
         ds = uniform_dataset(4, 200, seed=0)
         with pytest.raises(ValueError, match="project"):
             lsh.build(ds, 0.5, c=5.0, mode="lsh")
+
+    def test_table_guard_beyond_float_range(self):
+        with pytest.raises(ValueError, match="project"):
+            lsh.num_tables(4, 2000, 5.0, 0.5)
 
     def test_rejects_bad_inputs(self):
         ds = uniform_dataset(4, 2, seed=0)
@@ -119,7 +123,7 @@ class TestRemove:
     def test_removed_id_absent_everywhere(self):
         ds = uniform_dataset(50, 3, seed=3)
         idx = lsh.build(ds, 0.5, c=5.0, seed=2, mode="lsh")
-        idx.remove(7)
+        idx.remove_many(np.array([7]))
         for pid in range(ds.n):
             assert 7 not in idx.query(pid)
 
@@ -127,22 +131,22 @@ class TestRemove:
         ds = uniform_dataset(20, 2, seed=5)
         for mode in ("exact", "lsh"):
             idx = lsh.build(ds, 0.5, c=5.0, seed=2, mode=mode)
-            idx.remove(3)
+            idx.remove_many(np.array([3]))
             assert 3 not in idx.query(3)
 
     def test_remove_all_empties_queries(self):
         ds = uniform_dataset(15, 2, seed=1)
         idx = lsh.build(ds, 0.5, c=5.0, seed=0, mode="lsh")
         for pid in range(ds.n):
-            idx.remove(pid)
+            idx.remove_many(np.array([pid]))
         for pid in range(ds.n):
             assert idx.query(pid).size == 0
 
     def test_remove_dead_is_noop(self):
         ds = uniform_dataset(10, 2, seed=0)
         idx = lsh.build(ds, 0.5, c=5.0, seed=0, mode="lsh")
-        idx.remove(2)
-        idx.remove(2)
+        idx.remove_many(np.array([2]))
+        idx.remove_many(np.array([2]))
         assert not idx.live[2]
 
     def test_interleaved_removals_match_exact_replay(self):
@@ -153,7 +157,7 @@ class TestRemove:
         removed = set()
         for step in range(50):
             victim = int(rng.integers(ds.n))
-            exact.remove(victim)
+            exact.remove_many(np.array([victim]))
             removed.add(victim)
             probe = int(rng.integers(ds.n))
             got = set(exact.query(probe))
@@ -168,13 +172,48 @@ class TestRemove:
         removed = set()
         for _ in range(40):
             victim = int(rng.integers(ds.n))
-            idx.remove(victim)
+            idx.remove_many(np.array([victim]))
             removed.add(victim)
             probe = int(rng.integers(ds.n))
             got = set(idx.query(probe))
             near = brute_ball(ds, probe, radius) - removed
             far = brute_ball(ds, probe, c * radius) - removed
             assert near <= got <= far
+
+
+class TestRadiusKind:
+    def test_whole_set_boundary(self):
+        diag, c = 12.0, 8.0
+        edge = diag * (1.0 + 1e-9)
+        assert lsh.radius_kind(edge, c, diag) == "all"
+        assert lsh.radius_kind(np.nextafter(edge, 0.0), c, diag) == "grid"
+
+    def test_duplicate_boundary(self):
+        # c = 8 makes c·radius exact, so the edge is tested without rounding.
+        diag, c = 12.0, 8.0
+        edge = 0.999999 / c
+        assert lsh.radius_kind(edge, c, diag) == "grid"
+        assert lsh.radius_kind(np.nextafter(edge, 0.0), c, diag) == "dup"
+
+
+class TestDegenerateIndexes:
+    @pytest.mark.parametrize("kind", ["all", "dup"])
+    def test_query_matches_exact_mode(self, kind):
+        c = 5.0
+        ds, _ = normalize(with_duplicates(80, 2, seed=4, dup_fraction=0.4), c)
+        diag = bbox_diagonal(ds.points)
+        radius = 2.0 * diag if kind == "all" else 0.1
+        assert lsh.radius_kind(radius, c, diag) == kind
+        groups = lsh.degenerate_groups(ds.points)
+        index = lsh.degenerate_index(kind, groups[kind])
+        exact = lsh.build(ds, radius, c=c, mode="exact")
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            for pid in range(ds.n):
+                assert np.array_equal(index.query(pid), exact.query(pid))
+            victims = rng.choice(ds.n, size=15, replace=False)
+            index.remove_many(victims)
+            exact.remove_many(victims)
 
 
 class TestNearSideStatistics:

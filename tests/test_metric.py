@@ -135,6 +135,30 @@ class TestNormalize:
         assert min_nonzero_distance(np.zeros((1, 2))) is None
 
 
+class TestExtremeMagnitudes:
+    def test_huge_coordinates(self):
+        ds = Dataset(np.array([[1e160, 0.0], [0.0, 0.0], [3e160, 0.0]]))
+        assert min_nonzero_distance(ds.points) == 1e160
+        assert cost(ds, [1], 1.0) == 4e160
+
+    def test_tiny_spacing(self):
+        ds = Dataset(np.array([[0.0, 0.0], [1e-170, 0.0], [3e-170, 0.0]]))
+        assert min_nonzero_distance(ds.points) == 1e-170
+        scaled, info = normalize(ds, 5.0)
+        assert min_nonzero_distance(scaled.points) >= 1.0
+        assert info.delta == 10.0
+
+    def test_too_wide_a_range_is_rejected(self):
+        with pytest.raises(ValueError, match="too wide"):
+            min_nonzero_distance(np.array([[0.0, 0.0], [1.0, 0.0], [1e200, 0.0]]))
+
+    def test_huge_coordinates_on_the_kd_tree_path(self):
+        pts = np.zeros((8200, 2))
+        pts[:, 0] = np.arange(8200) * 1e160
+        # Above the scan limit; differences of large multiples round a little.
+        assert min_nonzero_distance(pts) == pytest.approx(1e160, rel=1e-9)
+
+
 class TestLevelRadii:
     def test_c5_delta_100(self):
         _, info = normalize(Dataset(np.array([[0.0], [1.0], [95.0]])), 5.0)

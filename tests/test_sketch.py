@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kzclust import sketch
+from kzclust import lsh, sketch
 from kzclust.metric import Dataset, dists_from, level_radii, normalize
 from kzclust.seeding import GOLDEN, MASK64, mix64
 
-from conftest import uniform_dataset
+from conftest import exact_nval, uniform_dataset, with_duplicates
 
 
 def reference_rank(point_id: int, copy: int, seed: int) -> int:
@@ -119,11 +119,11 @@ class TestEstimate:
 class TestExactNval:
     def test_isolated_point(self):
         ds = Dataset(np.array([[0.0], [10.0]]))
-        assert sketch.exact_nval(ds, 0, 0.5, 2.0) == 0.25
+        assert exact_nval(ds, 0, 0.5, 2.0) == 0.25
 
     def test_coincident_duplicates(self):
         ds = Dataset(np.zeros((3, 2)))
-        assert sketch.exact_nval(ds, 0, 2.0, 2.0) == 12.0
+        assert exact_nval(ds, 0, 2.0, 2.0) == 12.0
 
     def test_matches_double_loop_oracle(self):
         ds = uniform_dataset(40, 3, seed=13)
@@ -133,7 +133,7 @@ class TestExactNval:
                 for q in range(ds.n):
                     if np.sqrt(np.sum((ds.points[pid] - ds.points[q]) ** 2)) <= radius:
                         count += 1
-                assert sketch.exact_nval(ds, pid, radius, 2.0) == count * radius**2
+                assert exact_nval(ds, pid, radius, 2.0) == count * radius**2
 
     def test_level_monotonicity(self):
         ds = uniform_dataset(60, 2, seed=17)
@@ -142,8 +142,8 @@ class TestExactNval:
         z, c = 2.0, 5.0
         for pid in range(0, 60, 5):
             for lvl in range(info.num_levels - 1):
-                big = sketch.exact_nval(scaled, pid, float(radii[lvl]), z)
-                small = sketch.exact_nval(scaled, pid, float(radii[lvl + 1]), z)
+                big = exact_nval(scaled, pid, float(radii[lvl]), z)
+                small = exact_nval(scaled, pid, float(radii[lvl + 1]), z)
                 # exact in rationals; 1e-12 covers the float radius powers
                 assert big >= (2 * c) ** z * small * (1 - 1e-12)
                 assert (2 * c) ** z * small >= small
@@ -153,7 +153,7 @@ class TestComputeValues:
     def test_exact_mode_collapses_to_counts(self):
         ds = uniform_dataset(50, 3, seed=19)
         radius = 0.3
-        vals = sketch.compute_values(ds, radius, c=5.0, z=2.0, mode="exact")
+        vals = sketch.exact_counts(ds, np.array([radius]))[0] * radius**2
         for pid in range(ds.n):
             count = int(np.sum(dists_from(ds.points, pid) <= radius))
             assert vals[pid] == count * radius**2
@@ -163,7 +163,7 @@ class TestComputeValues:
         radius, z = 0.5, 2.0
         hits = 0
         for seed in range(200):
-            val = sketch.compute_values(ds, radius, c=5.0, z=z, seed=seed, mode="lsh")[0]
+            val = sketch.compute_values(ds, radius, c=5.0, z=z, seed=seed)[0]
             if radius**z / 3 <= val <= 3 * radius**z:
                 hits += 1
         assert hits >= 100
@@ -173,7 +173,7 @@ class TestComputeValues:
         for seed in (0, 1):
             ds = uniform_dataset(300, 4, seed=seed)
             vals = sketch.compute_values(ds, radius, c=c, z=z,
-                                         delta=1 / 300**2, seed=seed, mode="lsh")
+                                         delta=1 / 300**2, seed=seed)
             ok = 0
             for pid in range(ds.n):
                 dr = dists_from(ds.points, pid)
@@ -185,6 +185,23 @@ class TestComputeValues:
 
     def test_deterministic(self):
         ds = uniform_dataset(80, 4, seed=23)
-        a = sketch.compute_values(ds, 0.25, c=5.0, z=1.0, seed=11, mode="lsh")
-        b = sketch.compute_values(ds, 0.25, c=5.0, z=1.0, seed=11, mode="lsh")
+        a = sketch.compute_values(ds, 0.25, c=5.0, z=1.0, seed=11)
+        b = sketch.compute_values(ds, 0.25, c=5.0, z=1.0, seed=11)
         assert np.array_equal(a, b)
+
+
+class TestGroupEstimates:
+    def test_one_group_equals_whole_set_sketch(self):
+        n, seed = 300, 17
+        groups = lsh.degenerate_groups(uniform_dataset(n, 2, seed=1).points)["all"]
+        expected = sketch.sketch_of(np.arange(n), sketch.default_copies(n), seed).estimate()
+        assert np.all(sketch.group_estimates(groups, seed) == expected)
+
+    def test_each_group_equals_its_sketch(self):
+        ds = with_duplicates(120, 2, seed=8, dup_fraction=0.6)
+        n, seed = ds.n, 5
+        groups = lsh.degenerate_groups(ds.points)["dup"]
+        est = sketch.group_estimates(groups, seed)
+        for pid in range(n):
+            members = np.flatnonzero(groups.group_of == groups.group_of[pid])
+            assert est[pid] == sketch.sketch_of(members, sketch.default_copies(n), seed).estimate()
