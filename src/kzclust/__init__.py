@@ -10,6 +10,7 @@ from .greedy import BallRef, GreedyState, Solution, descend, init, remove_around
 from .lsh import NeighborhoodIndex, build, num_tables
 from .metric import (
     ClusterParams,
+    DataRangeError,
     Dataset,
     ScaleInfo,
     cost,
@@ -28,6 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BallRef",
     "ClusterParams",
+    "DataRangeError",
     "Dataset",
     "DistinctSketch",
     "GreedyState",

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import greedy, oracles
-from .metric import ClusterParams, Dataset, cost, jl_project, normalize
+from .metric import ClusterParams, DataRangeError, Dataset, cost, jl_project, normalize
 from .seeding import derive_seed
 
 PROJECTION_DIM_THRESHOLD = 24
@@ -439,7 +439,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, OSError) as exc:
+    except (DataError, DataRangeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OverflowError) as exc:

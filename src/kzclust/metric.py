@@ -30,6 +30,10 @@ _EXACT_SCAN_LIMIT = 8192
 _ROW_BLOCK = 1024
 
 
+class DataRangeError(ValueError):
+    """Data whose magnitudes float64 cannot represent well enough to cluster."""
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Immutable multiset of d-dimensional points; row index is the point id."""
@@ -159,7 +163,7 @@ def min_nonzero_distance(points: np.ndarray) -> float | None:
         best = float(dists[:, 1].min())
     if best == 0.0:
         # Distinct rows whose squared gap underflows next to the largest coordinate.
-        raise ValueError("distances between distinct points span too wide a range for float64")
+        raise DataRangeError("distances between distinct points span too wide a range for float64")
     return math.ldexp(best, e)
 
 

@@ -178,6 +178,15 @@ class TestCluster:
         assert run_cli("cluster", str(p), "--k", "1") == 3
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_too_wide_a_range_is_data_error(self, tmp_path, capsys):
+        p = tmp_path / "wide.csv"
+        p.write_text("0,0\n1,0\n1e200,0\n")
+        assert run_cli("cluster", str(p), "--k", "2") == 3
+        lines = capsys.readouterr().err.splitlines()
+        errors = [line for line in lines if line.startswith("error: ")]
+        assert len(errors) == 1 and "too wide" in errors[0]
+        assert all(line.startswith(("error: ", "note: ")) for line in lines)
+
     def test_delta_failure_out_of_range_is_usage_error(self, tmp_path, capsys):
         p, _ = write_instance(tmp_path)
         assert run_cli("cluster", str(p), "--k", "2", "--delta-failure", "2") == 2

@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kzclust import lsh
-from kzclust.metric import Dataset, bbox_diagonal, dists_from, normalize
+from kzclust import greedy, lsh
+from kzclust.metric import ClusterParams, Dataset, bbox_diagonal, dists_from, normalize
 
-from conftest import uniform_dataset, with_duplicates
+from conftest import mixture_dataset, uniform_dataset, with_duplicates
 
 
 def brute_ball(ds, pid, radius):
@@ -118,6 +120,13 @@ class TestQuery:
         idx.query(6)
         assert idx.table_accesses == 2 * idx.num_tables
 
+    def test_entries_scanned_counter(self):
+        ds = uniform_dataset(30, 3, seed=4)
+        idx = lsh.build(ds, 0.4, c=5.0, seed=1, mode="lsh")
+        sizes = [np.diff(t.offsets)[t.point_bucket[5]] for t in idx.tables]
+        idx.query(5)
+        assert idx.entries_scanned == sum(sizes)
+
 
 class TestRemove:
     def test_removed_id_absent_everywhere(self):
@@ -179,6 +188,95 @@ class TestRemove:
             near = brute_ball(ds, probe, radius) - removed
             far = brute_ball(ds, probe, c * radius) - removed
             assert near <= got <= far
+
+
+def _grid_built(idx):
+    """Each point's union of buckets as built, before any query compacts them."""
+    return [np.unique(np.concatenate([
+        t.order[t.offsets[t.point_bucket[p]] : t.offsets[t.point_bucket[p] + 1]] for t in idx.tables
+    ])).astype(np.int64) for p in range(idx.ds.n)]
+
+
+def _grid_reference(idx, built, pid):
+    cand = built[pid][idx.live[built[pid]]]
+    diff = idx.ds.points[cand] - idx.ds.points[pid]
+    reach = idx.c * idx.radius
+    return cand[np.einsum("ij,ij->i", diff, diff) <= reach * reach]
+
+
+def _group_built(groups):
+    return [groups.order[groups.offsets[g] : groups.offsets[g + 1]].copy() for g in groups.group_of]
+
+
+def _ops(n):
+    query = st.tuples(st.just("query"), st.integers(0, n - 1))
+    remove = st.tuples(st.just("remove"), st.lists(st.integers(0, n - 1), max_size=n))
+    return st.lists(st.one_of(query, remove), max_size=25)
+
+
+class TestCompaction:
+    """Removal indexes compact their buckets; answers must not change."""
+
+    @staticmethod
+    def _check(index, reference, n, ops, shared=None, shared_reference=None):
+        # After the drawn operations, a fixed tail: one id removed twice in
+        # one call, a removed point queried, then every point removed twice.
+        tail = [("remove", [0, 0]), ("query", 0)] + [("query", p) for p in range(n)]
+        tail += [("remove", list(range(n))), ("remove", list(range(n)))]
+        tail += [("query", p) for p in range(n)]
+        for op, arg in list(ops) + tail:
+            if op == "remove":
+                index.remove_many(np.array(arg, dtype=np.int64))
+                continue
+            got, want = index.query(arg), reference(arg)
+            assert got.dtype == want.dtype == np.int64
+            assert np.array_equal(got, want)
+            if shared is not None:
+                assert np.array_equal(shared.query(arg), shared_reference[arg])
+        assert all(index.query(p).size == 0 for p in range(n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_grid_matches_buckets_as_built(self, data):
+        n = data.draw(st.integers(1, 30))
+        d = data.draw(st.integers(1, 3))
+        coords = data.draw(st.lists(st.integers(0, 6), min_size=n * d, max_size=n * d))
+        ds = Dataset(np.array(coords, dtype=np.float64).reshape(n, d))
+        radius = data.draw(st.sampled_from([0.3, 0.7, 1.5]))
+        idx = lsh.build(ds, radius, c=5.0, seed=data.draw(st.integers(0, 2**31)))
+        built = _grid_built(idx)
+        self._check(idx, lambda p: _grid_reference(idx, built, p), n, data.draw(_ops(n)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.sampled_from(["all", "dup"]))
+    def test_degenerate_matches_groups_as_built(self, data, kind):
+        n = data.draw(st.integers(1, 30))
+        coords = data.draw(st.lists(st.integers(0, 4), min_size=2 * n, max_size=2 * n))
+        groups = lsh.degenerate_groups(np.array(coords, dtype=np.float64).reshape(n, 2))[kind]
+        built = _group_built(groups)
+        removal = lsh.degenerate_index(kind, groups)
+        # A sequence index on the same partition must not see the removals.
+        sequence = lsh.degenerate_index(kind, groups)
+        self._check(removal, lambda p: built[p][removal.live[built[p]]], n,
+                    data.draw(_ops(n)), sequence, built)
+
+    @pytest.mark.parametrize("n", [400, 1024])
+    def test_full_ordering_reads_each_entry_at_most_twice(self, n):
+        # Dead ids leave a bucket the first time a query reads them, and a
+        # removal sweep kills what it returns, so over a full ordering each
+        # table entry is read about once alive and once dead.
+        ds = mixture_dataset(n, 8, 16, 0.05, seed=n)
+        params = ClusterParams(k=n, seed=1)
+        scaled, info = normalize(ds, params.c)
+        state = greedy.init(scaled, params, info, mode="lsh")
+        greedy.run_incremental(state)
+        grid = [ix for ix in state.rem_indexes if isinstance(ix, lsh.NeighborhoodIndex)]
+        assert grid
+        for ix in grid:
+            assert ix.entries_scanned <= 2 * n * ix.num_tables
+        for ix in state.rem_indexes:
+            if not isinstance(ix, lsh.NeighborhoodIndex):
+                assert ix.entries_scanned <= 2 * n
 
 
 class TestRadiusKind:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from kzclust.metric import (
     ClusterParams,
+    DataRangeError,
     Dataset,
     bbox_diagonal,
     cost,
@@ -149,8 +150,9 @@ class TestExtremeMagnitudes:
         assert info.delta == 10.0
 
     def test_too_wide_a_range_is_rejected(self):
-        with pytest.raises(ValueError, match="too wide"):
+        with pytest.raises(DataRangeError, match="too wide") as exc:
             min_nonzero_distance(np.array([[0.0, 0.0], [1.0, 0.0], [1e200, 0.0]]))
+        assert isinstance(exc.value, ValueError)
 
     def test_huge_coordinates_on_the_kd_tree_path(self):
         pts = np.zeros((8200, 2))
