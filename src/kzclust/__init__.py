@@ -14,7 +14,6 @@ from .metric import (
     Dataset,
     ScaleInfo,
     cost,
-    distance,
     jl_project,
     level_radii,
     min_nonzero_distance,
@@ -42,7 +41,6 @@ __all__ = [
     "compute_values",
     "cost",
     "descend",
-    "distance",
     "init",
     "jl_project",
     "kmeanspp",

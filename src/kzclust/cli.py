@@ -332,17 +332,54 @@ def _cmd_cluster(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
-    report = json.loads(Path(args.report).read_text(encoding="utf-8"))
-    ds = ingest(args.input, args.format)
-    shape = (report["input"]["n"], report["input"]["d"])
+def _is_number(value, kind=(int, float)) -> bool:
+    """A JSON number of the given Python type; JSON true and false do not count."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _report_field(report, path: str, *keys: str):
+    for key in keys:
+        if not isinstance(report, dict) or key not in report:
+            raise DataError(f"{path}: report has no {'.'.join(keys)}")
+        report = report[key]
+    return report
+
+
+def _read_report(path: str, ds: Dataset) -> tuple[list[int], dict[str, float], float]:
+    """Centers, prefix costs and z of a report on ds, each checked before use."""
+    try:
+        report = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"{path}: not a JSON report ({exc})") from None
+    shape = (_report_field(report, path, "input", "n"), _report_field(report, path, "input", "d"))
+    centers = _report_field(report, path, "result", "centers")
+    prefix_costs = _report_field(report, path, "result", "prefix_costs")
+    z = _report_field(report, path, "params", "z")
     if shape != (ds.n, ds.d):
-        raise DataError(f"{args.input}: dataset has n={ds.n} d={ds.d}, but the report was "
-                        f"made from n={shape[0]} d={shape[1]}")
-    centers = report["result"]["centers"]
-    z = report["params"]["z"]
+        raise DataError(f"{path}: report was made from n={shape[0]} d={shape[1]}, but the "
+                        f"dataset has n={ds.n} d={ds.d}")
+    if not (isinstance(centers, list) and centers
+            and all(_is_number(cid, int) and 0 <= cid < ds.n for cid in centers)):
+        raise DataError(f"{path}: result.centers must be a nonempty list of point ids "
+                        f"in [0, {ds.n})")
+    if not isinstance(prefix_costs, dict):
+        raise DataError(f"{path}: result.prefix_costs must be an object")
+    for key, recorded in prefix_costs.items():
+        if not (key.isdecimal() and 1 <= int(key) <= len(centers)):
+            raise DataError(f"{path}: prefix-cost key {key!r} is not an integer "
+                            f"in [1, {len(centers)}]")
+        if not _is_number(recorded):
+            raise DataError(f"{path}: prefix cost for k={key} is not a number")
+    if not (_is_number(z) and z >= 1):
+        raise DataError(f"{path}: params.z must be a number >= 1")
+    return centers, prefix_costs, z
+
+
+def _cmd_eval(args) -> int:
+    ds = ingest(args.input, args.format)
+    centers, prefix_costs, z = _read_report(args.report, ds)
     ok = True
-    for kk, recorded in report["result"]["prefix_costs"].items():
+    for kk, recorded in prefix_costs.items():
         recomputed = cost(ds, centers[: int(kk)], z)
         rel = abs(recomputed - recorded) / max(abs(recorded), 1e-300)
         print(f"k={kk}: recorded {recorded:.12g} recomputed {recomputed:.12g} rel {rel:.3g}")

@@ -27,7 +27,7 @@ from __future__ import annotations
 import logging
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -59,16 +59,6 @@ class Solution:
 
     def prefix(self, k: int) -> list[int]:
         return self.centers[:k]
-
-
-@dataclass
-class GreedyStats:
-    """Instrumentation of one run: raw events, checked by tests."""
-
-    candidate_events: list[tuple[int, int, np.ndarray]] = field(default_factory=list)
-    removal_events: list[tuple[int, int, np.ndarray]] = field(default_factory=list)
-    iteration_centers: list[int] = field(default_factory=list)
-    unavailable_candidate_hits: int = 0
 
 
 class AvailableSet:
@@ -114,14 +104,11 @@ class AvailableSet:
 class GreedyState:
     """Mutable run state: values, availability, per-level indexes, centers."""
 
-    def __init__(self, ds: Dataset, params: ClusterParams, info: ScaleInfo, mode: str,
-                 delta: float, values: np.ndarray, seq_indexes: list, rem_indexes: list,
-                 stats: GreedyStats | None):
+    def __init__(self, ds: Dataset, params: ClusterParams, info: ScaleInfo, values: np.ndarray,
+                 seq_indexes: list, rem_indexes: list):
         self.ds = ds
         self.params = params
         self.info = info
-        self.mode = mode
-        self.delta = delta
         self.values = values
         self.radii = level_radii(info, params.c)
         self.avail = AvailableSet(values)
@@ -130,7 +117,6 @@ class GreedyState:
         self.centers: list[int] = []
         self.traces: list[list[BallRef]] = []
         self.iteration = 0
-        self.stats = stats
 
     @property
     def num_levels(self) -> int:
@@ -138,7 +124,7 @@ class GreedyState:
 
 
 def init(ds: Dataset, params: ClusterParams, info: ScaleInfo, mode: str = "lsh",
-         delta: float | None = None, instrument: bool = False) -> GreedyState:
+         delta: float | None = None) -> GreedyState:
     """Preprocess a normalized dataset: values, availability, index families.
 
     Every level's values are computed before any index is built, so no
@@ -190,8 +176,7 @@ def init(ds: Dataset, params: ClusterParams, info: ScaleInfo, mode: str = "lsh",
         seq_indexes.append(index(10.0 * params.c * radius, derive_seed(params.seed, "seq", lvl)))
         rem_indexes.append(index(100.0 * params.c**4 * radius, derive_seed(params.seed, "rem", lvl)))
 
-    stats = GreedyStats() if instrument else None
-    return GreedyState(ds, params, info, mode, delta, values, seq_indexes, rem_indexes, stats)
+    return GreedyState(ds, params, info, values, seq_indexes, rem_indexes)
 
 
 def descend(state: GreedyState, head: BallRef) -> tuple[int, list[BallRef]]:
@@ -208,11 +193,6 @@ def descend(state: GreedyState, head: BallRef) -> tuple[int, list[BallRef]]:
     last = state.num_levels - 1
     while level < last:
         candidates = state.seq_indexes[level].query(point)
-        if state.stats is not None:
-            state.stats.candidate_events.append((state.iteration, level, candidates))
-            state.stats.unavailable_candidate_hits += int(
-                (~state.avail.available_mask(candidates, level + 1)).sum()
-            )
         vals = state.values[level + 1, candidates]
         point = int(candidates[np.lexsort((candidates, -vals))[0]])
         level += 1
@@ -232,8 +212,6 @@ def remove_around(state: GreedyState, center_id: int) -> None:
         hit = index.query(center_id)
         state.avail.clear_many(hit, lvl)
         index.remove_many(hit)
-        if state.stats is not None:
-            state.stats.removal_events.append((state.iteration, lvl, hit))
 
 
 def run(state: GreedyState, k: int) -> Solution:
@@ -253,8 +231,6 @@ def run(state: GreedyState, k: int) -> Solution:
         state.iteration += 1
         center, trace = descend(state, head)
         remove_around(state, center)
-        if state.stats is not None:
-            state.stats.iteration_centers.append(center)
         if center in emitted:
             # Only reachable when an lsh removal sweep missed the center's
             # own balls (a probability-delta event); the popped head has
@@ -278,8 +254,8 @@ def run_incremental(state: GreedyState) -> Solution:
 
 
 def solve(ds: Dataset, params: ClusterParams, k: int, mode: str = "lsh",
-          delta: float | None = None, instrument: bool = False) -> tuple[Solution, GreedyState]:
+          delta: float | None = None) -> tuple[Solution, GreedyState]:
     """Normalize, preprocess, and run; the one-call library entry point."""
     scaled, info = normalize(ds, params.c)
-    state = init(scaled, params, info, mode=mode, delta=delta, instrument=instrument)
+    state = init(scaled, params, info, mode=mode, delta=delta)
     return run(state, k), state

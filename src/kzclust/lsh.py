@@ -39,6 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .metric import Dataset, dists_from
+from .seeding import mix64_array
 
 _MAX_TABLES = 2_000_000
 
@@ -86,12 +87,7 @@ def _fill_table(points: np.ndarray, cell_width: float, shift: np.ndarray, mixers
     cells = np.floor((points + shift) * (1.0 / cell_width)).astype(np.int64)
     # 64-bit mixed cell key; distinct-cell collisions (~n^2/2^64) are caught
     # by the query-time distance filter.
-    folded = np.bitwise_xor.reduce(cells.astype(np.uint64) * mixers, axis=1)
-    folded ^= folded >> np.uint64(30)
-    folded *= np.uint64(0xBF58476D1CE4E5B9)
-    folded ^= folded >> np.uint64(27)
-    folded *= np.uint64(0x94D049BB133111EB)
-    folded ^= folded >> np.uint64(31)
+    folded = mix64_array(np.bitwise_xor.reduce(cells.astype(np.uint64) * mixers, axis=1))
 
     sort = np.argsort(folded, kind="stable")
     sorted_keys = folded[sort]
@@ -128,7 +124,7 @@ class NeighborhoodIndex:
     entries, dead ones included, that lsh-mode queries have read.
     """
 
-    def __init__(self, ds: Dataset, radius: float, c: float, mode: str, seed: int,
+    def __init__(self, ds: Dataset, radius: float, c: float, mode: str,
                  shifts: np.ndarray | None = None, cell_width: float = 0.0,
                  order: np.ndarray | None = None, point_bucket: np.ndarray | None = None,
                  offsets: np.ndarray | None = None, bucket_base: np.ndarray | None = None):
@@ -136,7 +132,6 @@ class NeighborhoodIndex:
         self.radius = float(radius)
         self.c = float(c)
         self.mode = mode
-        self.seed = seed
         self.live = np.ones(ds.n, dtype=bool)
         self.table_accesses = 0
         self.entries_scanned = 0
@@ -220,7 +215,7 @@ def build(ds: Dataset, radius: float, c: float = 5.0, delta: float | None = None
     if mode not in ("exact", "lsh"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "exact":
-        return NeighborhoodIndex(ds, radius, c, mode, seed)
+        return NeighborhoodIndex(ds, radius, c, mode)
 
     n, d = ds.n, ds.d
     if delta is None:
@@ -243,8 +238,8 @@ def build(ds: Dataset, radius: float, c: float = 5.0, delta: float | None = None
         used += 1 + _fill_table(ds.points, cell_width, shifts[t], mixers[t],
                                 order[t], point_bucket[t], offsets[used:])
     offsets.resize(used, refcheck=False)
-    return NeighborhoodIndex(ds, radius, c, mode, seed, shifts, cell_width, order,
-                             point_bucket, offsets, bucket_base)
+    return NeighborhoodIndex(ds, radius, c, mode, shifts, cell_width, order, point_bucket,
+                             offsets, bucket_base)
 
 
 def radius_kind(radius: float, c: float, diag: float) -> str:

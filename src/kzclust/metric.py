@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -92,16 +91,6 @@ class ScaleInfo:
     delta: float
     delta_exponent: int
     num_levels: int
-
-
-def distance(p, q) -> float:
-    """Euclidean distance between two points."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape:
-        raise ValueError(f"dimension mismatch: {p.shape} vs {q.shape}")
-    diff = p - q
-    return float(np.sqrt(np.dot(diff, diff)))
 
 
 def dists_from(points: np.ndarray, idx: int) -> np.ndarray:
@@ -201,15 +190,6 @@ def radius_at_level(info: ScaleInfo, c: float, level: int) -> float:
     integer the value is the correctly rounded rational (2c)^(m - level).
     """
     return _pow_2c(c, info.delta_exponent - level)
-
-
-def radius_fraction(info: ScaleInfo, c: float, level: int) -> Fraction:
-    """Exact rational radius for integral 2c; supports exact schedule checks."""
-    tc = 2.0 * c
-    ic = round(tc)
-    if abs(tc - ic) >= 1e-9:
-        raise ValueError(f"2c = {tc} is not integral; no exact rational radius")
-    return Fraction(ic) ** (info.delta_exponent - level)
 
 
 def level_radii(info: ScaleInfo, c: float) -> np.ndarray:

@@ -22,7 +22,7 @@ from kzclust.metric import (
 from kzclust.oracles import brute_optimal, transcribed_algorithm
 from kzclust.seeding import derive_seed
 
-from conftest import uniform_dataset, with_duplicates
+from conftest import logged_solve, uniform_dataset, with_duplicates
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -93,19 +93,19 @@ def corpus_instance(i: int) -> tuple[Dataset, ClusterParams, int]:
 
 @pytest.fixture(scope="module")
 def exact_corpus():
-    """200 instrumented exact-mode runs paired with their transcriptions."""
+    """200 exact-mode runs with their query logs, paired with their transcriptions."""
     runs = []
     for i in range(200):
         ds, params, k = corpus_instance(i)
-        mine, state = greedy.solve(ds, params, k, mode="exact", instrument=True)
+        mine, state, log = logged_solve(ds, params, k, "exact")
         ref = transcribed_algorithm(ds, params, k)
-        runs.append((ds, params, k, mine, state, ref))
+        runs.append((ds, params, k, mine, state, log, ref))
     return runs
 
 
 @pytest.fixture(scope="module")
 def lsh_corpus():
-    """Instrumented lsh-mode runs for the structural-invariant criterion."""
+    """Logged lsh-mode runs for the structural-invariant criterion."""
     runs = []
     for i in range(20):
         seed = derive_seed(0xACCE97, "lshcorpus", i)
@@ -114,14 +114,13 @@ def lsh_corpus():
         ds = uniform_dataset(n, int(rng.choice([2, 4, 8])), seed=seed)
         k = int(rng.integers(1, 9))
         params = ClusterParams(k=k, z=float(rng.choice([1.0, 2.0])), c=5.0, seed=seed)
-        sol, state = greedy.solve(ds, params, k, mode="lsh", instrument=True)
-        runs.append((sol, state))
+        runs.append(logged_solve(ds, params, k, "lsh"))
     return runs
 
 
 def test_criterion_3_oracle_equivalence(exact_corpus):
     mismatches = 0
-    for ds, params, k, mine, _, ref in exact_corpus:
+    for ds, params, k, mine, _, _, ref in exact_corpus:
         same = (
             mine.centers == ref.centers
             and mine.traces == ref.traces
@@ -203,8 +202,8 @@ def test_criterion_5_neighborhood_sandwich():
 
 # ------------------------------------------------------------- criteria 6+7
 
-def _check_structural(sol, state, c):
-    """Trace bound and candidate-proximity bound for one instrumented run."""
+def _check_structural(sol, state, log, c):
+    """Trace bound and candidate-proximity bound for one logged run."""
     pts = state.ds.points
     radii = state.radii
     bad_trace = 0
@@ -216,26 +215,26 @@ def _check_structural(sol, state, c):
             if d > 20 * c**2 * head_radius * (1 + 1e-9):
                 bad_trace += 1
     bad_candidate = 0
-    centers_by_iter = state.stats.iteration_centers
-    for it, lvl, ids in state.stats.candidate_events:
+    centers_by_iter = log.iteration_centers
+    for it, lvl, ids in log.candidate_events:
         cj = centers_by_iter[it - 1]
         dr = np.linalg.norm(pts[ids] - pts[cj], axis=1)
         bad_candidate += int(np.sum(dr > 30 * c**2 * float(radii[lvl]) * (1 + 1e-9)))
-    n_events = sum(len(ids) for _, _, ids in state.stats.candidate_events)
+    n_events = sum(len(ids) for _, _, ids in log.candidate_events)
     n_balls = sum(len(t) for t in sol.traces)
     return bad_trace, bad_candidate, n_balls, n_events
 
 
 def test_criterion_6_structural_invariants(exact_corpus, lsh_corpus):
     bad_trace = bad_cand = balls = events = 0
-    for _, params, _, mine, state, _ in exact_corpus:
-        bt, bc, nb, ne = _check_structural(mine, state, params.c)
+    for _, params, _, mine, state, log, _ in exact_corpus:
+        bt, bc, nb, ne = _check_structural(mine, state, log, params.c)
         bad_trace += bt
         bad_cand += bc
         balls += nb
         events += ne
-    for sol, state in lsh_corpus:
-        bt, bc, nb, ne = _check_structural(sol, state, state.params.c)
+    for sol, state, log in lsh_corpus:
+        bt, bc, nb, ne = _check_structural(sol, state, log, state.params.c)
         bad_trace += bt
         bad_cand += bc
         balls += nb
@@ -248,9 +247,9 @@ def test_criterion_6_structural_invariants(exact_corpus, lsh_corpus):
 
 def test_criterion_7_amortization(exact_corpus):
     repeat_candidate = repeat_removal = 0
-    for _, _, _, _, state, _ in exact_corpus:
-        for events, counter in ((state.stats.candidate_events, "cand"),
-                                (state.stats.removal_events, "rem")):
+    for _, _, _, _, _, log, _ in exact_corpus:
+        for events, counter in ((log.candidate_events, "cand"),
+                                (log.removal_events, "rem")):
             per_level: dict[int, set] = {}
             for _, lvl, ids in events:
                 seen = per_level.setdefault(lvl, set())

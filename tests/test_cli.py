@@ -225,6 +225,11 @@ class TestCluster:
         assert costs["3"] <= costs["2"] <= costs["1"]
 
 
+def with_result(report, **fields):
+    """The report as JSON text with the given result fields replaced."""
+    return json.dumps({**report, "result": {**report["result"], **fields}})
+
+
 class TestEval:
     def test_reproduces_costs(self, tmp_path, capsys):
         p, _ = write_instance(tmp_path, n=25, seed=4)
@@ -243,6 +248,28 @@ class TestEval:
         assert run_cli("eval", str(out), str(other)) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "n=4" in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda r, n: "{}",
+        lambda r, n: with_result(r, centers=[r["result"]["centers"][0], 999, 1]),
+        lambda r, n: "not json",
+        lambda r, n: with_result(r, prefix_costs={"abc": r["result"]["prefix_costs"]["1"]}),
+        lambda r, n: with_result(r, centers=[]),
+        lambda r, n: with_result(r, centers=[cid - n for cid in r["result"]["centers"]]),
+        lambda r, n: with_result(r, prefix_costs={"999": r["result"]["prefix_costs"]["3"]}),
+    ], ids=["empty-object", "center-999", "not-json", "key-abc", "no-centers",
+            "negative-centers", "key-999"])
+    def test_malformed_report_is_data_error(self, tmp_path, capsys, edit):
+        p, ds = write_instance(tmp_path, n=50, seed=5)
+        out = tmp_path / "r.json"
+        assert run_cli("cluster", str(p), "--k", "3", "--eval-k", "1,3", "--out", str(out)) == 0
+        out.write_text(edit(json.loads(out.read_text()), ds.n))
+        capsys.readouterr()
+        assert run_cli("eval", str(out), str(p)) == 3
+        captured = capsys.readouterr()
+        assert "match" not in captured.out.split()
+        assert captured.err.startswith(f"error: {out}: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestBench:

@@ -7,12 +7,12 @@ from kzclust import greedy
 from kzclust.metric import ClusterParams, Dataset, cost, dists_from, level_radii, normalize
 from kzclust.oracles import brute_optimal
 
-from conftest import exact_nval, uniform_dataset, with_duplicates
+from conftest import exact_nval, logged_solve, record_queries, uniform_dataset, with_duplicates
 
 
-def exact_state(ds, params, instrument=False):
+def exact_state(ds, params):
     scaled, info = normalize(ds, params.c)
-    return greedy.init(scaled, params, info, mode="exact", instrument=instrument), scaled, info
+    return greedy.init(scaled, params, info, mode="exact"), scaled, info
 
 
 class TestInit:
@@ -250,17 +250,19 @@ class TestInstrumentation:
         for seed in range(5):
             ds = uniform_dataset(25, 2, seed=50 + seed)
             params = ClusterParams(k=25, seed=seed)
-            state, _, _ = exact_state(ds, params, instrument=True)
+            state, _, _ = exact_state(ds, params)
+            log = record_queries(state)
             greedy.run_incremental(state)
-            assert state.stats.unavailable_candidate_hits == 0
+            assert log.unavailable_candidate_hits == 0
 
     def test_candidate_one_shot_per_level(self):
         ds = uniform_dataset(30, 2, seed=60)
         params = ClusterParams(k=30, seed=1)
-        state, _, _ = exact_state(ds, params, instrument=True)
+        state, _, _ = exact_state(ds, params)
+        log = record_queries(state)
         greedy.run_incremental(state)
         per_level: dict[int, list] = {}
-        for _, lvl, ids in state.stats.candidate_events:
+        for _, lvl, ids in log.candidate_events:
             per_level.setdefault(lvl, []).extend(ids.tolist())
         for lvl, ids in per_level.items():
             assert len(ids) == len(set(ids)), f"level {lvl} repeats a candidate"
@@ -268,10 +270,11 @@ class TestInstrumentation:
     def test_removal_one_shot_per_level(self):
         ds = uniform_dataset(30, 2, seed=61)
         params = ClusterParams(k=30, seed=2)
-        state, _, _ = exact_state(ds, params, instrument=True)
+        state, _, _ = exact_state(ds, params)
+        log = record_queries(state)
         greedy.run_incremental(state)
         per_level: dict[int, list] = {}
-        for _, lvl, ids in state.stats.removal_events:
+        for _, lvl, ids in log.removal_events:
             per_level.setdefault(lvl, []).extend(ids.tolist())
         for lvl, ids in per_level.items():
             assert len(ids) == len(set(ids))
@@ -279,12 +282,30 @@ class TestInstrumentation:
     def test_fact_bound_candidate_near_center(self):
         ds = uniform_dataset(25, 2, seed=62)
         params = ClusterParams(k=25, z=2.0, c=5.0, seed=3)
-        state, scaled, info = exact_state(ds, params, instrument=True)
+        state, scaled, info = exact_state(ds, params)
+        log = record_queries(state)
         greedy.run_incremental(state)
         radii = level_radii(info, params.c)
-        centers_by_iter = state.stats.iteration_centers
-        for it, lvl, ids in state.stats.candidate_events:
+        centers_by_iter = log.iteration_centers
+        for it, lvl, ids in log.candidate_events:
             cj = centers_by_iter[it - 1]
             for pid in ids:
                 d = float(np.linalg.norm(scaled.points[pid] - scaled.points[cj]))
                 assert d <= 30 * params.c**2 * float(radii[lvl]) * (1 + 1e-9)
+
+    @pytest.mark.parametrize("mode", ["exact", "lsh"])
+    @pytest.mark.parametrize("duplicates", [False, True], ids=["distinct", "duplicates"])
+    def test_query_log_records_every_query(self, mode, duplicates):
+        for seed in (70, 71):
+            if duplicates:
+                ds = with_duplicates(60, 2, seed=seed, dup_fraction=0.3)
+            else:
+                ds = uniform_dataset(60, 2, seed=seed)
+            params = ClusterParams(k=ds.n, seed=seed)
+            sol, state, log = logged_solve(ds, params, ds.n, mode)
+            assert sol == greedy.solve(ds, params, ds.n, mode=mode)[0]
+            n_candidates = sum(len(t) - 1 for t in sol.traces)
+            assert n_candidates > 0
+            assert len(log.candidate_events) == n_candidates
+            assert len(log.removal_events) == state.iteration * state.num_levels
+            assert log.iteration_centers == sol.centers

@@ -5,8 +5,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from kzclust.metric import (
     ClusterParams,
@@ -14,37 +12,13 @@ from kzclust.metric import (
     Dataset,
     bbox_diagonal,
     cost,
-    distance,
     jl_project,
     level_radii,
     min_nonzero_distance,
     normalize,
-    radius_fraction,
 )
 
 from conftest import uniform_dataset
-
-
-class TestDistance:
-    def test_identity(self):
-        assert distance([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
-
-    def test_3_4_5(self):
-        assert distance([0.0, 0.0], [3.0, 4.0]) == 5.0
-
-    def test_unit_cube_diagonal(self):
-        assert distance([1.0, 1.0, 1.0], [0.0, 0.0, 0.0]) == pytest.approx(math.sqrt(3), rel=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            distance([0.0, 0.0], [1.0, 2.0, 3.0])
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 10**6))
-    def test_triangle_inequality(self, seed):
-        rng = np.random.default_rng(seed)
-        p, q, r = rng.uniform(-10, 10, size=(3, 4))
-        assert distance(p, r) <= (distance(p, q) + distance(q, r)) * (1 + 1e-9)
 
 
 class TestCost:
@@ -179,11 +153,12 @@ class TestLevelRadii:
         assert radii[-1] == pytest.approx((2 * 5.0) ** -7, rel=1e-15)
 
     def test_geometric_ratio_exact_rational(self):
-        _, info = normalize(Dataset(np.array([[0.0], [1.0], [873.0]])), 5.0)
-        fracs = [radius_fraction(info, 5.0, lvl) for lvl in range(info.num_levels)]
-        for a, b in zip(fracs, fracs[1:]):
-            assert a / b == 10
-        assert fracs[-1] == Fraction(1, 10**7)
+        # Each radius is the correctly rounded rational (2c)^(m - level).
+        for c in (5.0, 6.0, 7.5):
+            _, info = normalize(Dataset(np.array([[0.0], [1.0], [873.0]])), c)
+            radii = level_radii(info, c)
+            for lvl, radius in enumerate(radii):
+                assert radius == float(Fraction(2 * c) ** (info.delta_exponent - lvl))
 
     def test_first_radius_covers_diameter(self):
         ds = uniform_dataset(40, 4, seed=9)
