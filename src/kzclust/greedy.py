@@ -86,9 +86,6 @@ class AvailableSet:
     def available_mask(self, points: np.ndarray, level: int) -> np.ndarray:
         return self._avail[level * self.n + np.asarray(points)]
 
-    def available_count(self) -> int:
-        return int(self._avail.sum())
-
     def pop(self) -> BallRef | None:
         """Consume and return the largest available ball, or None."""
         while self._cursor < len(self._order) and not self._avail[self._order[self._cursor]]:

@@ -6,10 +6,33 @@ sandwiched between the two balls:
     B(p, R) ∩ live  ⊆  N  ⊆  B(p, c·R) ∩ live
 
 In "lsh" mode the index keeps L randomly shifted uniform grids with cell
-width c·R/sqrt(d).  The far side is deterministic: a cell has diameter at
-most c·R, and an explicit distance filter guards the floating-point edge.
-The near side holds with probability 1 - delta over the random shifts, with
-L = ceil(e^(2d/c) · ln(n·num_levels/delta)) tables.
+width w = c·R/sqrt(d).  The far side is deterministic: a cell has diameter
+at most c·R, and an explicit distance filter guards the floating-point
+edge.  The near side holds with probability 1 - delta over the random
+shifts, with L = ceil(ln(n·num_levels/delta) / -ln(1 - p)) tables, where
+p = (1 - 1/c)^d is the least chance that one table puts two points at
+distance at most R in the same cell:
+
+- Two points with difference Δ share a cell of a uniformly shifted grid
+  with probability prod_i (1 - |Δ_i|/w).  With x_i = |Δ_i|/w the worst
+  case minimizes sum_i log(1 - x_i) subject to sum_i x_i² <= d/c², and
+  every term falls as x_i grows, so the minimum lies on the sphere.
+- Lagrange: at a stationary point 1/(1 - x_i) = 2λ·x_i, so x_i(1 - x_i)
+  is the same for every i and the x_i take at most two values, a and
+  1 - a.  The equal split x_i = 1/c gives p.
+- -log(1 - sqrt(t)) is concave in t = x² for x <= 1/2, so by Jensen the
+  equal split is the minimum among points with every x_i <= 1/2.  Any
+  other stationary point has m >= 1 coordinates at b = 1 - a > 1/2, and
+  the same concavity shows it loses to the equal split unless
+  -log(1 - b) > b²·c²/(2(c - 1)) for some b <= sqrt(d)/c.  For d < 0.99·c²
+  that cannot happen once c >= 9.6.  For 5 <= c < 9.6 an enumeration of
+  every two-value stationary point, over c in steps of 0.05, finds none
+  below p; tests/test_lsh.py repeats it at c = 5, 5.21, 7.5 and 10.
+- Outside that domain p is not the worst case: if d >= c² a pair R apart
+  along one axis never shares a cell, and for c < 5 one large coordinate
+  can beat the equal split (at c = 3.5, d = 12: 0.0097 against 0.0176).
+  Just below c² it can win too; the same enumeration saw the first such
+  d at 0.9968·c².  num_tables rejects c < 5 and d >= 0.99·c².
 
 In "exact" mode there are no tables and a query scans the live points;
 both sides of the sandwich then hold deterministically (N = B(p, R) ∩ live).
@@ -44,14 +67,31 @@ from .seeding import mix64_array
 _MAX_TABLES = 2_000_000
 
 
+def near_collision_probability(d: int, c: float) -> float:
+    """p = (1 - 1/c)^d: the least chance that one table puts two points within R in one cell.
+
+    The worst case only for c >= 5 and d < 0.99·c² (see the module docstring).
+    """
+    return (1.0 - 1.0 / c) ** d
+
+
 def num_tables(n: int, d: int, c: float, delta: float, num_levels: int = 1) -> int:
-    """Table count L = ceil(e^(2d/c) · ln(n·num_levels/delta))."""
+    """Table count L = ceil(ln(n·num_levels/delta) / -ln(1 - p)), p = (1 - 1/c)^d.
+
+    A pair at distance at most R misses a shared cell in all L tables with
+    probability at most (1 - p)^L <= delta/(n·num_levels).  Raises ValueError
+    where p is not the worst case (c < 5 or d >= 0.99·c²), where p
+    underflows, and where L exceeds _MAX_TABLES.
+    """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    try:
-        raw = math.exp(2.0 * d / c) * math.log(n * num_levels / delta)
-    except OverflowError:
-        raw = math.inf
+    if c < 5.0 or d >= 0.99 * c * c:
+        raise ValueError(
+            f"the grid collision bound needs c >= 5 and d < 0.99·c², got d={d}, c={c}; "
+            "project the data to a lower dimension first"
+        )
+    p = near_collision_probability(d, c)
+    raw = math.log(n * num_levels / delta) / -math.log1p(-p) if p > 0.0 else math.inf
     if raw > _MAX_TABLES:
         raise ValueError(
             f"table count {raw:.4g} for d={d}, c={c} is impractical; "

@@ -10,6 +10,12 @@ from kzclust.oracles import brute_optimal
 from conftest import exact_nval, logged_solve, record_queries, uniform_dataset, with_duplicates
 
 
+def available_balls(state):
+    """Number of available (point, level) balls."""
+    ids = np.arange(state.ds.n)
+    return sum(int(state.avail.available_mask(ids, lvl).sum()) for lvl in range(state.num_levels))
+
+
 def exact_state(ds, params):
     scaled, info = normalize(ds, params.c)
     return greedy.init(scaled, params, info, mode="exact"), scaled, info
@@ -20,7 +26,7 @@ class TestInit:
         ds = Dataset(np.array([[2.0, 2.0]]))
         params = ClusterParams(k=1, z=2.0, c=5.0, seed=0)
         state, _, info = exact_state(ds, params)
-        assert state.avail.available_count() == info.num_levels
+        assert available_balls(state) == info.num_levels
         radii = level_radii(info, params.c)
         assert np.allclose(state.values, (radii**params.z)[:, None])
 
@@ -28,7 +34,7 @@ class TestInit:
         ds = uniform_dataset(12, 2, seed=2)
         params = ClusterParams(k=3, seed=0)
         state, _, info = exact_state(ds, params)
-        assert state.avail.available_count() == 12 * info.num_levels
+        assert available_balls(state) == 12 * info.num_levels
 
     def test_priority_max_matches_full_scan(self):
         ds = uniform_dataset(25, 2, seed=4)
@@ -93,7 +99,7 @@ class TestRemoveAround:
         sol = greedy.run(state, 5)
         assert sol.centers == [0]
         assert sol.early_terminated
-        assert state.avail.available_count() == 0
+        assert available_balls(state) == 0
 
     def test_min_level_ball_of_center_removed(self):
         ds = uniform_dataset(10, 2, seed=8)

@@ -42,7 +42,8 @@ class TestBuild:
         num_levels = 9
         ds = uniform_dataset(n, d, seed=1)
         idx = lsh.build(ds, 0.3, c=c, delta=delta, seed=3, mode="lsh", num_levels=num_levels)
-        expected = math.ceil(math.exp(2 * d / c) * math.log(n * num_levels / delta))
+        p = (1 - 1 / c) ** d
+        expected = math.ceil(math.log(n * num_levels / delta) / -math.log1p(-p))
         assert idx.num_tables == expected
         assert lsh.num_tables(n, d, c, delta, num_levels) == expected
 
@@ -67,6 +68,22 @@ class TestBuild:
         with pytest.raises(ValueError, match="project"):
             lsh.num_tables(4, 2000, 5.0, 0.5)
 
+    def test_table_guard_where_one_axis_spans_a_cell(self):
+        # d >= c²: a pair R apart along one axis never shares a cell.
+        with pytest.raises(ValueError, match="project"):
+            lsh.num_tables(4, 25, 5.0, 0.5)
+
+    def test_table_guard_below_c_five(self):
+        # At c < 5 a point with one large coordinate can beat the equal split.
+        with pytest.raises(ValueError, match="project"):
+            lsh.num_tables(4, 2, 4.5, 0.5)
+
+    def test_table_guard_when_collision_probability_underflows(self):
+        d, c = 900_000, 1000.0
+        assert d < 0.99 * c * c and lsh.near_collision_probability(d, c) == 0.0
+        with pytest.raises(ValueError, match="project"):
+            lsh.num_tables(4, d, c, 0.5)
+
     def test_rejects_bad_inputs(self):
         ds = uniform_dataset(4, 2, seed=0)
         with pytest.raises(ValueError):
@@ -75,6 +92,67 @@ class TestBuild:
             lsh.build(ds, 1.0, mode="nope")
         with pytest.raises(ValueError):
             lsh.num_tables(4, 2, 5.0, 1.5)
+
+
+def _collision_rate(diff, cell_width, trials, rng, chunk=25_000):
+    """Share of uniformly shifted grids of the given width that put 0 and diff in one cell."""
+    hits = 0
+    for size in [chunk] * (trials // chunk) + [trials % chunk]:
+        shift = rng.uniform(0.0, cell_width, size=(size, len(diff)))
+        same = np.floor(shift / cell_width) == np.floor((shift + diff) / cell_width)
+        hits += int(same.all(axis=1).sum())
+    return hits / trials
+
+
+def _least_two_value_log(d, c):
+    """Smallest sum of log(1 - x_i) over the points with m1 coordinates at a,
+    m2 at 1 - a and the rest at 0 that lie on the sphere sum x_i² = d/c²."""
+    m1, m2 = np.meshgrid(np.arange(d + 1.0), np.arange(d + 1.0), indexing="ij")
+    keep = (m1 + m2 >= 1) & (m1 + m2 <= d)
+    m1, m2 = m1[keep], m2[keep]
+    # m1·a² + m2·(1 - a)² = d/c², a quadratic in a.
+    qa, qb, qc = m1 + m2, -2.0 * m2, m2 - d / c**2
+    disc = qb * qb - 4.0 * qa * qc
+    real = disc >= 0
+    least = math.inf
+    for sign in (1.0, -1.0):
+        a = (-qb[real] + sign * np.sqrt(disc[real])) / (2.0 * qa[real])
+        inside = (a >= 0.0) & (a <= 1.0)
+        with np.errstate(divide="ignore"):
+            logs = m1[real][inside] * np.log1p(-a[inside]) + m2[real][inside] * np.log(a[inside])
+        least = min(least, float(logs.min(initial=math.inf)))
+    return least
+
+
+class TestCollisionBound:
+    """p = (1 - 1/c)^d is the least chance that one table puts two points within R in one cell."""
+
+    @pytest.mark.parametrize("d", [3, 8, 16])
+    def test_monte_carlo_matches_closed_form(self, d):
+        # Tolerance: 5 binomial standard deviations of a rate p over the trials.
+        c, radius = 5.0, 1.0
+        width = c * radius / math.sqrt(d)
+        p = lsh.near_collision_probability(d, c)
+        rng = np.random.default_rng(d)
+        trials = 200_000
+        equal_split = np.full(d, radius / math.sqrt(d))
+        assert abs(_collision_rate(equal_split, width, trials, rng) - p) <= (
+            5 * math.sqrt(p * (1 - p) / trials))
+        trials = 20_000
+        for _ in range(20):
+            direction = rng.standard_normal(d)
+            direction /= np.linalg.norm(direction)
+            for norm in (radius, radius * rng.uniform() ** (1 / d)):
+                rate = _collision_rate(norm * direction, width, trials, rng)
+                assert rate >= p - 5 * math.sqrt(p * (1 - p) / trials)
+
+    @pytest.mark.parametrize("c", [5.0, 5.21, 7.5, 10.0])
+    def test_equal_split_is_least_stationary_point(self, c):
+        # By Lagrange the x_i = |Δ_i|/w of a stationary point take at most
+        # two values a and 1 - a; none may give less than p.
+        for d in range(1, math.ceil(0.99 * c * c)):
+            bound = math.log(lsh.near_collision_probability(d, c))
+            assert _least_two_value_log(d, c) >= bound - 1e-9 * abs(bound)
 
 
 class TestQuery:

@@ -32,8 +32,8 @@ def _mixture_full_ordering():
 
 
 PINNED = {
-    "duplicates-k30": (_with_duplicates_k30, 30, "dedaff9ad0275fa5", "6a5908704ee8941b"),
-    "mixture-full": (_mixture_full_ordering, 160, "6f5f4ddd7d8ede5e", "dd6791926fbfdcf7"),
+    "duplicates-k30": (_with_duplicates_k30, 30, "bc13cae9c8e6e96d", "4d94bf8c028495e6"),
+    "mixture-full": (_mixture_full_ordering, 160, "8ae654e0d4c098fd", "db0c674d1bd6df0c"),
 }
 
 INDEX_KINDS = {"_AllPointsIndex", "_DuplicateGroupIndex", "NeighborhoodIndex"}
