@@ -124,8 +124,9 @@ def init(ds: Dataset, params: ClusterParams, info: ScaleInfo, mode: str = "lsh",
          delta: float | None = None) -> GreedyState:
     """Preprocess a normalized dataset: values, availability, index families.
 
-    Every level's values are computed before any index is built, so no
-    value-estimation tables are held beside the retained indexes.
+    Value estimation streams its grid tables one at a time
+    (sketch.compute_values) and keeps none, so only the retained sequence
+    and removal indexes hold tables.
     """
     if mode not in ("exact", "lsh"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -34,6 +34,11 @@ distance at most R in the same cell:
   Just below c² it can win too; the same enumeration saw the first such
   d at 0.9968·c².  num_tables rejects c < 5 and d >= 0.99·c².
 
+A table buckets the points by a 64-bit mixed key of their cell
+(table_buckets) and numbers its buckets in key order.  The order of ids
+inside a bucket is unspecified: queries deduplicate their candidates and
+value estimation takes maxima, so nothing reads it.
+
 In "exact" mode there are no tables and a query scans the live points;
 both sides of the sandwich then hold deterministically (N = B(p, R) ∩ live).
 
@@ -116,31 +121,49 @@ class GridTable:
     offsets: np.ndarray
 
 
-def _fill_table(points: np.ndarray, cell_width: float, shift: np.ndarray, mixers: np.ndarray,
-                order: np.ndarray, point_bucket: np.ndarray, offsets: np.ndarray) -> int:
-    """Grid one table into its rows of the stacked storage; return its bucket count.
+def draw_tables(n: int, d: int, radius: float, c: float, delta: float | None, seed: int,
+                num_levels: int = 1) -> tuple[float, np.ndarray, np.ndarray]:
+    """Cell width, shifts (L, d) and odd key mixers (L, d) of one radius's L grid tables.
 
-    order and point_bucket are the table's length-n rows; offsets receives
-    the bucket starts followed by n.
+    delta defaults to 1/n^2 (clamped below 1).  build and
+    sketch.compute_values both draw here, so one seed gives both the same
+    tables.
     """
-    n = points.shape[0]
-    cells = np.floor((points + shift) * (1.0 / cell_width)).astype(np.int64)
+    if radius <= 0:
+        raise ValueError(f"radius must be positive, got {radius}")
+    if delta is None:
+        delta = min(0.5, 1.0 / (n * n))
+    ell = num_tables(n, d, c, delta, num_levels)
+    cell_width = c * radius / math.sqrt(d)
+    rng = np.random.default_rng(seed)
+    shifts = rng.uniform(0.0, cell_width, size=(ell, d))
+    mixers = rng.integers(0, 1 << 63, size=(ell, d), dtype=np.uint64) * np.uint64(2) + np.uint64(1)
+    return cell_width, shifts, mixers
+
+
+def table_buckets(points_t: np.ndarray, cell_width: float, shift: np.ndarray,
+                  mixers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bucket the points by their cell in one shifted grid: (order, first).
+
+    points_t is the (d, n) transpose of the points, so every coordinate's
+    row is contiguous.  order holds the point ids sorted by cell key, and
+    first[i] is True where order[i] starts a new bucket.  Buckets are
+    numbered in key order; the order of ids inside a bucket is unspecified.
+    """
+    cells = points_t + shift[:, None]
+    cells *= 1.0 / cell_width
+    np.floor(cells, out=cells)
+    keys = cells.astype(np.int64).view(np.uint64)
+    keys *= mixers[:, None]
     # 64-bit mixed cell key; distinct-cell collisions (~n^2/2^64) are caught
     # by the query-time distance filter.
-    folded = mix64_array(np.bitwise_xor.reduce(cells.astype(np.uint64) * mixers, axis=1))
-
-    sort = np.argsort(folded, kind="stable")
-    sorted_keys = folded[sort]
-    is_new = np.empty(n, dtype=bool)
-    is_new[0] = True
-    is_new[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    starts = np.flatnonzero(is_new)
-    buckets = len(starts)
-    offsets[:buckets] = starts
-    offsets[buckets] = n
-    order[:] = sort
-    point_bucket[sort] = np.cumsum(is_new) - 1
-    return buckets
+    folded = mix64_array(np.bitwise_xor.reduce(keys, axis=0))
+    order = np.argsort(folded)
+    sorted_keys = folded[order]
+    first = np.empty(len(order), dtype=bool)
+    first[0] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    return order, first
 
 
 def _segment_positions(start: np.ndarray, length: np.ndarray) -> np.ndarray:
@@ -257,14 +280,9 @@ def build(ds: Dataset, radius: float, c: float = 5.0, delta: float | None = None
     if mode == "exact":
         return NeighborhoodIndex(ds, radius, c, mode)
 
-    n, d = ds.n, ds.d
-    if delta is None:
-        delta = min(0.5, 1.0 / (n * n))
-    ell = num_tables(n, d, c, delta, num_levels)
-    cell_width = c * radius / math.sqrt(d)
-    rng = np.random.default_rng(seed)
-    shifts = rng.uniform(0.0, cell_width, size=(ell, d))
-    mixers = rng.integers(0, 1 << 63, size=(ell, d), dtype=np.uint64) * np.uint64(2) + np.uint64(1)
+    n = ds.n
+    cell_width, shifts, mixers = draw_tables(n, ds.d, radius, c, delta, seed, num_levels)
+    ell = len(shifts)
     order = np.empty((ell, n), dtype=np.int32)
     point_bucket = np.empty((ell, n), dtype=np.int32)
     # Sized for n buckets per table, then shrunk in place: the bucket count
@@ -272,11 +290,18 @@ def build(ds: Dataset, radius: float, c: float = 5.0, delta: float | None = None
     # the offsets' peak memory.
     offsets = np.empty(ell * (n + 1), dtype=np.int32)
     bucket_base = np.empty(ell, dtype=np.int64)
+    points_t = np.ascontiguousarray(ds.points.T)
     used = 0
     for t in range(ell):
+        sort, first = table_buckets(points_t, cell_width, shifts[t], mixers[t])
+        starts = np.flatnonzero(first)
         bucket_base[t] = used
-        used += 1 + _fill_table(ds.points, cell_width, shifts[t], mixers[t],
-                                order[t], point_bucket[t], offsets[used:])
+        offsets[used : used + len(starts)] = starts
+        used += len(starts)
+        offsets[used] = n
+        used += 1
+        order[t] = sort
+        point_bucket[t, sort] = np.cumsum(first) - 1
     offsets.resize(used, refcheck=False)
     return NeighborhoodIndex(ds, radius, c, mode, shifts, cell_width, order, point_bucket,
                              offsets, bucket_base)

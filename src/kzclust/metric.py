@@ -3,7 +3,9 @@
 Normalization rescales coordinates so the smallest nonzero pairwise distance
 is 1, then rounds the bounding-box diagonal up to a power of 2c.  That power
 fixes the geometric schedule of ball radii that the index and greedy layers
-operate on: radii delta/(2c)^level for level = 0 .. log_2c(delta) + 7.
+operate on: radii delta/(2c)^level for level = 0 .. log_2c(delta) + 7.  The
+minimum distance comes from one exact KD-tree pass (min_nonzero_distance),
+at every n.
 
 All data is float64.  A Dataset is immutable after construction and every
 function here is pure, so concurrent use is safe.
@@ -21,12 +23,6 @@ from scipy.spatial.distance import cdist
 
 # Levels run from exponent 0 (radius delta) down to delta/(2c)^(m+7) = (2c)^-7.
 EXTRA_LEVELS = 8
-
-# Above this many distinct points, the exact all-pairs scan for the minimum
-# distance is replaced by a KD-tree nearest-neighbor pass (still exact).
-_EXACT_SCAN_LIMIT = 8192
-
-_ROW_BLOCK = 1024
 
 
 class DataRangeError(ValueError):
@@ -131,25 +127,27 @@ def min_nonzero_distance(points: np.ndarray) -> float | None:
     """Exact minimum nonzero pairwise distance, or None if all points coincide.
 
     Duplicates are removed exactly first (the minimum is over distinct rows).
+    One KD-tree pass finds every point's nearest-neighbor distance, then all
+    pairs within (1 + 1e-9) times the least of them; the minimum is taken
+    over those pairs' squared distances as cdist's "sqeuclidean" computes
+    them, so it is the minimum an all-pairs cdist scan gives, to the bit.
     """
     uniq, e = _unit_scaled(np.unique(points, axis=0))
-    m = uniq.shape[0]
-    if m < 2:
+    if uniq.shape[0] < 2:
         return None
-    if m <= _EXACT_SCAN_LIMIT:
-        # Squared distances avoid 67M square roots at the size limit; the
-        # direct sum-of-squared-differences form has no cancellation.
-        best = math.inf
-        for start in range(0, m, _ROW_BLOCK):
-            stop = min(start + _ROW_BLOCK, m)
-            block = cdist(uniq[start:stop], uniq, metric="sqeuclidean")
-            rows = np.arange(stop - start)
-            block[rows, rows + start] = np.inf
-            best = min(best, float(block.min()))
-        best = math.sqrt(best)
-    else:
-        dists, _ = cKDTree(uniq).query(uniq, k=2)
-        best = float(dists[:, 1].min())
+    tree = cKDTree(uniq)
+    nearest = tree.query(uniq, k=2)[0][:, 1]
+    # The tree's and cdist's sums of squares differ by a few ulps at most, so
+    # the margin keeps every pair that cdist could rank smallest.  A point in
+    # such a pair has its nearest neighbor within the margin too.
+    reach = float(nearest.min()) * (1.0 + 1e-9)
+    heads = np.flatnonzero(nearest <= reach)
+    best = math.inf
+    for head, ball in zip(heads, tree.query_ball_point(uniq[heads], reach)):
+        ball = np.asarray(ball)
+        sq = cdist(uniq[head : head + 1], uniq[ball[ball != head]], metric="sqeuclidean")
+        best = min(best, float(sq.min()))
+    best = math.sqrt(best)
     if best == 0.0:
         # Distinct rows whose squared gap underflows next to the largest coordinate.
         raise DataRangeError("distances between distinct points span too wide a range for float64")

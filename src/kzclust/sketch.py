@@ -9,10 +9,13 @@ its true size with probability 2/3 per copy, boosted by the median.
 Merging is register-wise max, which represents set union exactly: the
 sketch of A ∪ B equals merge(sketch(A), sketch(B)) register for register.
 
-compute_values runs the full estimation pipeline for one radius R: build a
-radius-R neighborhood index, sketch every bucket of every table, and give
-each point the estimated size of the union of its buckets times R^z.  With
-probability 1 - delta this lands, for all points simultaneously, inside
+compute_values runs the full estimation pipeline for one radius R: sketch
+every bucket of every grid table of a radius-R neighborhood index, and give
+each point the estimated size of the union of its buckets times R^z.  It
+streams the tables lsh.build would draw, one at a time, and builds no
+index: each point's own ranks start its registers, so only the buckets
+that two or more points share are reduced.  With probability 1 - delta
+this lands, for all points simultaneously, inside
 
     R^z · |B(p, R) ∩ P| / 3  <=  value[p]  <=  3 R^z · |B(p, c·R) ∩ P|.
 
@@ -140,15 +143,28 @@ def group_estimates(groups: lsh.DuplicateGroups, seed: int) -> np.ndarray:
 def compute_values(ds: Dataset, radius: float, c: float, z: float,
                    delta: float | None = None, seed: int = 0,
                    num_levels: int = 1) -> np.ndarray:
-    """Estimated ball value at one radius for every point; shape (n,)."""
-    n = ds.n
-    index = lsh.build(ds, radius, c=c, delta=delta, seed=derive_seed(seed, "tables"),
-                      mode="lsh", num_levels=num_levels)
-    t = default_copies(n)
-    ranks = rank_matrix(np.arange(n), t, derive_seed(seed, "ranks"))
+    """Estimated ball value at one radius for every point; shape (n,).
 
-    merged = np.full((n, t), _EMPTY_REGISTER, dtype=np.int8)
-    for table in index.tables:
-        bucket_max = _bucket_max(ranks, table.order, table.offsets)
-        np.maximum(merged, bucket_max[table.point_bucket], out=merged)
+    The grid tables are those lsh.build draws from derive_seed(seed,
+    "tables"), streamed one at a time.
+    """
+    n = ds.n
+    cell_width, shifts, mixers = lsh.draw_tables(n, ds.d, radius, c, delta,
+                                                 derive_seed(seed, "tables"), num_levels)
+    ranks = rank_matrix(np.arange(n), default_copies(n), derive_seed(seed, "ranks"))
+    # Every point sits in its own bucket of every table (and there is at
+    # least one), so its own ranks start the running maximum and only buckets
+    # shared by two or more points can raise it.
+    merged = ranks.copy()
+    points_t = np.ascontiguousarray(ds.points.T)
+    for shift, mix in zip(shifts, mixers):
+        order, first = lsh.table_buckets(points_t, cell_width, shift, mix)
+        shared = ~(first & np.append(first[1:], True))
+        members = order[shared]
+        if len(members) == 0:
+            continue
+        offsets = np.flatnonzero(np.append(first[shared], True))
+        bucket_max = _bucket_max(ranks, members, offsets)
+        merged[members] = np.maximum(merged[members],
+                                     np.repeat(bucket_max, np.diff(offsets), axis=0))
     return _median_estimate(merged) * radius**z

@@ -1,14 +1,16 @@
 """Shared instance generators and run recorders for the test suite."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
-from kzclust import greedy
+from kzclust import greedy, lsh, sketch
 from kzclust.cli import generate_mixture as mixture_dataset  # re-exported for the tests
-from kzclust.metric import Dataset, dists_from, normalize
-from kzclust.seeding import derive_seed
+from kzclust.metric import DataRangeError, Dataset, _unit_scaled, dists_from, normalize
+from kzclust.seeding import derive_seed, mix64_array
 
 
 def uniform_dataset(n: int, d: int, seed: int, scale: float = 1.0) -> Dataset:
@@ -31,6 +33,79 @@ def exact_nval(ds: Dataset, point_id: int, radius: float, z: float) -> float:
     """Exact ball value |B(p, R) ∩ P| · R^z by linear scan."""
     count = int(np.sum(dists_from(ds.points, point_id) <= radius))
     return count * radius**z
+
+
+def reference_min_nonzero_distance(points: np.ndarray) -> float | None:
+    """metric.min_nonzero_distance by a blocked all-pairs cdist scan; the reference."""
+    uniq, e = _unit_scaled(np.unique(points, axis=0))
+    m = uniq.shape[0]
+    if m < 2:
+        return None
+    best = math.inf
+    for start in range(0, m, 1024):
+        stop = min(start + 1024, m)
+        block = cdist(uniq[start:stop], uniq, metric="sqeuclidean")
+        rows = np.arange(stop - start)
+        block[rows, rows + start] = np.inf
+        best = min(best, float(block.min()))
+    best = math.sqrt(best)
+    if best == 0.0:
+        raise DataRangeError("distances between distinct points span too wide a range for float64")
+    return math.ldexp(best, e)
+
+
+def reference_tables(ds: Dataset, radius: float, c: float, delta: float | None = None,
+                     seed: int = 0, num_levels: int = 1) -> list:
+    """lsh.build's grid tables as (order, point_bucket, offsets), one table at a
+    time on the (n, d) points with a stable sort; the reference."""
+    n, d = ds.n, ds.d
+    if delta is None:
+        delta = min(0.5, 1.0 / (n * n))
+    ell = lsh.num_tables(n, d, c, delta, num_levels)
+    cell_width = c * radius / math.sqrt(d)
+    rng = np.random.default_rng(seed)
+    shifts = rng.uniform(0.0, cell_width, size=(ell, d))
+    mixers = rng.integers(0, 1 << 63, size=(ell, d), dtype=np.uint64) * np.uint64(2) + np.uint64(1)
+    tables = []
+    for shift, mix in zip(shifts, mixers):
+        cells = np.floor((ds.points + shift) * (1.0 / cell_width)).astype(np.int64)
+        folded = mix64_array(np.bitwise_xor.reduce(cells.astype(np.uint64) * mix, axis=1))
+        order = np.argsort(folded, kind="stable")
+        sorted_keys = folded[order]
+        is_new = np.empty(n, dtype=bool)
+        is_new[0] = True
+        is_new[1:] = sorted_keys[1:] != sorted_keys[:-1]
+        point_bucket = np.empty(n, dtype=np.int64)
+        point_bucket[order] = np.cumsum(is_new) - 1
+        tables.append((order, point_bucket, np.append(np.flatnonzero(is_new), n)))
+    return tables
+
+
+def reference_values(ds: Dataset, radius: float, c: float, z: float, delta: float | None = None,
+                     seed: int = 0, num_levels: int = 1) -> np.ndarray:
+    """sketch.compute_values from the bucket maxima of every bucket of every
+    reference table; the reference."""
+    n = ds.n
+    ranks = sketch.rank_matrix(np.arange(n), sketch.default_copies(n), derive_seed(seed, "ranks"))
+    merged = np.full(ranks.shape, -1, dtype=np.int8)
+    for order, point_bucket, offsets in reference_tables(
+            ds, radius, c, delta, derive_seed(seed, "tables"), num_levels):
+        bucket_max = np.maximum.reduceat(ranks[order], offsets[:-1], axis=0)
+        np.maximum(merged, bucket_max[point_bucket], out=merged)
+    return np.median(2.0 ** merged.astype(np.float64), axis=-1) * radius**z
+
+
+def table_step_cases() -> list:
+    """(id, dataset, radius, expected bucket shape) cases for the grid-table step."""
+    return [
+        ("singletons", uniform_dataset(200, 3, seed=41), 1e-4, "singletons"),
+        ("mixed", uniform_dataset(300, 4, seed=42), 0.2, "mixed"),
+        ("one-bucket", uniform_dataset(60, 3, seed=43), 1e7, "one"),
+        ("coincident", Dataset(np.full((40, 2), 0.7)), 0.5, "one"),
+        ("duplicates", with_duplicates(300, 3, seed=44, dup_fraction=0.6), 0.05, "mixed"),
+        ("d1", uniform_dataset(300, 1, seed=45), 0.002, "mixed"),
+        ("mixture", mixture_dataset(400, 8, 6, 0.05, 46), 0.05, "mixed"),
+    ]
 
 
 @dataclass

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from kzclust import greedy, lsh
 from kzclust.metric import ClusterParams, Dataset, bbox_diagonal, dists_from, normalize
 
-from conftest import mixture_dataset, uniform_dataset, with_duplicates
+from conftest import (mixture_dataset, reference_tables, table_step_cases, uniform_dataset,
+                      with_duplicates)
 
 
 def brute_ball(ds, pid, radius):
@@ -92,6 +93,33 @@ class TestBuild:
             lsh.build(ds, 1.0, mode="nope")
         with pytest.raises(ValueError):
             lsh.num_tables(4, 2, 5.0, 1.5)
+
+
+def _bucket_members(order, offsets):
+    return [sorted(order[a:b].tolist()) for a, b in zip(offsets[:-1], offsets[1:])]
+
+
+class TestTableBuckets:
+    """lsh.build's stacked tables against the stable one-table-at-a-time reference."""
+
+    @pytest.mark.parametrize("case", table_step_cases(), ids=lambda case: case[0])
+    def test_build_matches_reference(self, case):
+        _, ds, radius, shape = case
+        for seed in (0, 1):
+            idx = lsh.build(ds, radius, c=5.0, seed=seed, num_levels=3)
+            ref = reference_tables(ds, radius, 5.0, seed=seed, num_levels=3)
+            assert idx.num_tables == len(ref)
+            sizes = np.concatenate([np.diff(offsets) for _, _, offsets in ref])
+            assert {"singletons": sizes.max() == 1, "one": sizes.min() == ds.n,
+                    "mixed": sizes.min() == 1 < sizes.max()}[shape]
+            base = 0
+            for t, (order, point_bucket, offsets) in enumerate(ref):
+                table = idx.tables[t]
+                assert idx._bucket_base[t] == base
+                base += len(offsets)
+                assert np.array_equal(table.offsets, offsets)
+                assert np.array_equal(table.point_bucket, point_bucket)
+                assert _bucket_members(table.order, table.offsets) == _bucket_members(order, offsets)
 
 
 def _collision_rate(diff, cell_width, trials, rng, chunk=25_000):

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kzclust.metric import (
     ClusterParams,
@@ -18,7 +20,8 @@ from kzclust.metric import (
     normalize,
 )
 
-from conftest import uniform_dataset
+from conftest import (mixture_dataset, reference_min_nonzero_distance, uniform_dataset,
+                      with_duplicates)
 
 
 class TestCost:
@@ -131,8 +134,41 @@ class TestExtremeMagnitudes:
     def test_huge_coordinates_on_the_kd_tree_path(self):
         pts = np.zeros((8200, 2))
         pts[:, 0] = np.arange(8200) * 1e160
-        # Above the scan limit; differences of large multiples round a little.
-        assert min_nonzero_distance(pts) == pytest.approx(1e160, rel=1e-9)
+        # Differences of large multiples round a little; the KD-tree pass
+        # still gives the all-pairs scan's minimum to the bit.
+        assert min_nonzero_distance(pts) == reference_min_nonzero_distance(pts)
+
+
+def _lattice(side: int, d: int) -> np.ndarray:
+    axes = np.meshgrid(*[np.arange(float(side))] * d, indexing="ij")
+    return np.stack(axes, axis=-1).reshape(-1, d)
+
+
+_POINT_FAMILIES = {
+    "mixture-d1": lambda seed: mixture_dataset(500, 1, 8, 0.05, seed).points,
+    "mixture-d2": lambda seed: mixture_dataset(500, 2, 8, 0.05, seed).points,
+    "mixture-d8": lambda seed: mixture_dataset(500, 8, 8, 0.05, seed).points,
+    "mixture-d64": lambda seed: mixture_dataset(300, 64, 8, 0.05, seed).points,
+    "lattice-2d": lambda seed: _lattice(8 + seed % 25, 2),
+    "lattice-3d": lambda seed: _lattice(3 + seed % 8, 3) * 0.1,
+    "duplicates": lambda seed: with_duplicates(400, 3, seed, dup_fraction=0.5).points,
+    "rounded": lambda seed: np.random.default_rng(seed).integers(0, 6, size=(300, 2)) * 0.37,
+}
+
+
+class TestMinDistanceOracle:
+    """The KD-tree pass against the blocked all-pairs cdist scan, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(sorted(_POINT_FAMILIES)), st.integers(0, 2**31),
+           st.sampled_from([1.0, 1e160, 1e-170]))
+    def test_matches_blocked_scan(self, family, seed, scale):
+        points = _POINT_FAMILIES[family](seed) * scale
+        assert min_nonzero_distance(points) == reference_min_nonzero_distance(points)
+
+    def test_lattice_with_many_tied_pairs(self):
+        points = _lattice(60, 2)
+        assert min_nonzero_distance(points) == reference_min_nonzero_distance(points) == 1.0
 
 
 class TestLevelRadii:

@@ -9,7 +9,8 @@ from kzclust import lsh, sketch
 from kzclust.metric import Dataset, dists_from, level_radii, normalize
 from kzclust.seeding import GOLDEN, MASK64, mix64
 
-from conftest import exact_nval, uniform_dataset, with_duplicates
+from conftest import (exact_nval, reference_values, table_step_cases, uniform_dataset,
+                      with_duplicates)
 
 
 def reference_rank(point_id: int, copy: int, seed: int) -> int:
@@ -182,6 +183,14 @@ class TestComputeValues:
                 if radius**z * near / 3 <= vals[pid] <= 3 * radius**z * far:
                     ok += 1
             assert ok >= 0.99 * ds.n
+
+    @pytest.mark.parametrize("case", table_step_cases(), ids=lambda case: case[0])
+    def test_streamed_values_match_whole_table_reference(self, case):
+        _, ds, radius, _ = case
+        for seed in (0, 1):
+            got = sketch.compute_values(ds, radius, c=5.0, z=2.0, seed=seed, num_levels=3)
+            assert np.array_equal(got, reference_values(ds, radius, 5.0, 2.0, seed=seed,
+                                                        num_levels=3))
 
     def test_deterministic(self):
         ds = uniform_dataset(80, 4, seed=23)
