@@ -3,9 +3,12 @@
 Normalization rescales coordinates so the smallest nonzero pairwise distance
 is 1, then rounds the bounding-box diagonal up to a power of 2c.  That power
 fixes the geometric schedule of ball radii that the index and greedy layers
-operate on: radii delta/(2c)^level for level = 0 .. log_2c(delta) + 7.  The
-minimum distance comes from one exact KD-tree pass (min_nonzero_distance),
-at every n.
+operate on: radii delta/(2c)^level for level = 0 .. log_2c(delta) + 7.
+normalize makes one exact KD-tree pass at every n: it gives the minimum
+distance and, from the same tree, the minimum after rescaling (see
+normalize).  The tree's queries run on every core the process may use;
+each point's answer is computed on its own, so results do not depend on
+the core count.
 
 All data is float64.  A Dataset is immutable after construction and every
 function here is pure, so concurrent use is safe.
@@ -14,8 +17,9 @@ function here is pure, so concurrent use is safe.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -23,6 +27,9 @@ from scipy.spatial.distance import cdist
 
 # Levels run from exponent 0 (radius delta) down to delta/(2c)^(m+7) = (2c)^-7.
 EXTRA_LEVELS = 8
+
+# Unit roundoff of float64: fl(x) = x·(1 + t) with |t| <= 2^-53.
+_ROUNDOFF = 2.0**-53
 
 
 class DataRangeError(ValueError):
@@ -114,44 +121,128 @@ def _unit_scaled(points: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def cost(ds: Dataset, centers: Sequence[int], z: float) -> float:
-    """Clustering cost: sum over points of (distance to nearest center)^z."""
+    """Clustering cost: sum over points of (distance to nearest center)^z.
+
+    Raises DataRangeError when the sum exceeds the float64 range.
+    """
     center_ids = np.asarray(list(centers), dtype=np.int64)
     if center_ids.size == 0:
         raise ValueError("center set must be nonempty")
     pts, e = _unit_scaled(ds.points)
     nearest = np.ldexp(cdist(pts, pts[center_ids]).min(axis=1), e)
-    return float(np.sum(nearest**z))
+    with np.errstate(over="ignore"):
+        total = float(np.sum(nearest**z))
+    if not math.isfinite(total):
+        raise DataRangeError(f"the clustering cost at z={z:g} is too large for float64")
+    return total
+
+
+def _workers() -> int:
+    """Cores this process may run on, for the KD-tree queries.
+
+    Each query point's result is computed on its own, so every worker count
+    gives the same output.
+    """
+    return len(os.sched_getaffinity(0))
+
+
+def _near_pairs(tree: cKDTree, nearest: np.ndarray, reach: float):
+    """(head, others) for each row whose nearest neighbor lies within reach.
+
+    others holds the ids of every other row within reach of the head, so the
+    pairs cover every pair of rows at distance at most reach in the tree.
+    """
+    heads = np.flatnonzero(nearest <= reach)
+    for head, ball in zip(heads, tree.query_ball_point(tree.data[heads], reach,
+                                                       workers=_workers())):
+        ball = np.asarray(ball)
+        yield head, ball[ball != head]
+
+
+def _distance_from_unit_sq(best_sq: float, e: int) -> float:
+    """ldexp(sqrt(best_sq), e); a zero least squared gap is a range error."""
+    best = math.sqrt(best_sq)
+    if best == 0.0:
+        # Distinct rows whose squared gap underflows next to the largest coordinate.
+        raise DataRangeError("distances between distinct points span too wide a range for float64")
+    return math.ldexp(best, e)
+
+
+class _ClosestPass(NamedTuple):
+    """One exact KD-tree pass over the distinct rows of a point set.
+
+    uniq holds the distinct rows and e the exponent of _unit_scaled; tree is
+    built on uniq·2^-e, nearest is each row's nearest-neighbor distance in
+    it, and best_sq the least squared distance between distinct rows of
+    uniq·2^-e as cdist's "sqeuclidean" computes it.
+    """
+
+    uniq: np.ndarray
+    e: int
+    tree: cKDTree
+    nearest: np.ndarray
+    best_sq: float
+
+
+def _closest_pass(points: np.ndarray) -> _ClosestPass | None:
+    """The KD-tree pass over the distinct rows of points; None below two rows.
+
+    The k=2 query gives each row's nearest-neighbor distance, then all pairs
+    within (1 + 1e-9) times the least of them are scanned with cdist.  The
+    tree's and cdist's sums of squares differ by a few ulps at most, so the
+    margin keeps every pair that cdist could rank smallest, and a row in such
+    a pair has its nearest neighbor within the margin too.
+    """
+    uniq = np.unique(points, axis=0)
+    if uniq.shape[0] < 2:
+        return None
+    unit, e = _unit_scaled(uniq)
+    tree = cKDTree(unit)
+    nearest = tree.query(unit, k=2, workers=_workers())[0][:, 1]
+    best_sq = min(float(cdist(unit[head : head + 1], unit[others], metric="sqeuclidean").min())
+                  for head, others in _near_pairs(tree, nearest,
+                                                  float(nearest.min()) * (1.0 + 1e-9)))
+    return _ClosestPass(uniq, e, tree, nearest, best_sq)
 
 
 def min_nonzero_distance(points: np.ndarray) -> float | None:
     """Exact minimum nonzero pairwise distance, or None if all points coincide.
 
     Duplicates are removed exactly first (the minimum is over distinct rows).
-    One KD-tree pass finds every point's nearest-neighbor distance, then all
-    pairs within (1 + 1e-9) times the least of them; the minimum is taken
-    over those pairs' squared distances as cdist's "sqeuclidean" computes
-    them, so it is the minimum an all-pairs cdist scan gives, to the bit.
+    One KD-tree pass (_closest_pass) gives the minimum an all-pairs cdist
+    scan gives, to the bit.
     """
-    uniq, e = _unit_scaled(np.unique(points, axis=0))
-    if uniq.shape[0] < 2:
+    closest = _closest_pass(points)
+    if closest is None:
         return None
-    tree = cKDTree(uniq)
-    nearest = tree.query(uniq, k=2)[0][:, 1]
-    # The tree's and cdist's sums of squares differ by a few ulps at most, so
-    # the margin keeps every pair that cdist could rank smallest.  A point in
-    # such a pair has its nearest neighbor within the margin too.
-    reach = float(nearest.min()) * (1.0 + 1e-9)
-    heads = np.flatnonzero(nearest <= reach)
-    best = math.inf
-    for head, ball in zip(heads, tree.query_ball_point(uniq[heads], reach)):
-        ball = np.asarray(ball)
-        sq = cdist(uniq[head : head + 1], uniq[ball[ball != head]], metric="sqeuclidean")
-        best = min(best, float(sq.min()))
-    best = math.sqrt(best)
-    if best == 0.0:
-        # Distinct rows whose squared gap underflows next to the largest coordinate.
-        raise DataRangeError("distances between distinct points span too wide a range for float64")
-    return math.ldexp(best, e)
+    return _distance_from_unit_sq(closest.best_sq, closest.e)
+
+
+def _rescaled_min(closest: _ClosestPass, scale: float) -> float:
+    """min_nonzero_distance(points * scale) wherever that is below 1.
+
+    Otherwise the result is at least 1 (inf if no pair is left).  closest is
+    the pass over points; only the rows of pairs within the widened reach
+    that the normalize docstring derives are rescaled.
+    """
+    uniq, e, tree, nearest, best_sq = closest
+    d = uniq.shape[1]
+    top = float(np.abs(uniq).max())
+    # Rounding is monotone, so fl(top·scale) is the largest rescaled |coordinate|.
+    _, e2 = math.frexp(top * scale)
+    limit = max(1.0, math.ldexp(math.sqrt(d), e2 - 537))
+    reach = ((limit * math.sqrt(best_sq)
+              + 2.0 * _ROUNDOFF * math.sqrt(d) * math.ldexp(top, -e))
+             * (1.0 + 4.0 * (d + 2) * _ROUNDOFF))
+    best_sq = math.inf
+    for head, others in _near_pairs(tree, nearest, reach):
+        rows = uniq[np.append(head, others)] * scale
+        # np.unique merges rows that rescaling made equal; skip those pairs.
+        others = rows[1:][np.any(rows[1:] != rows[0], axis=1)]
+        if len(others):
+            sq = cdist(np.ldexp(rows[:1], -e2), np.ldexp(others, -e2), metric="sqeuclidean")
+            best_sq = min(best_sq, float(sq.min()))
+    return _distance_from_unit_sq(best_sq, e2)
 
 
 def _delta_exponent(diag: float, c: float) -> int:
@@ -207,13 +298,41 @@ def normalize(ds: Dataset, c: float) -> tuple[Dataset, ScaleInfo]:
     identical) are returned untouched with delta = 1.
 
     Exact duplicates are preserved; they do not participate in the minimum.
+
+    One KD-tree pass (_closest_pass) gives the minimum distance m and the
+    scale s = fl(1/m).  Rounding can leave the minimum of the rescaled
+    points fl(x·s) a hair under 1, and the scale is then bumped by the
+    shortfall.  That rescaled minimum is taken over the pairs the same tree
+    finds within a widened reach, and wherever it is below 1 it equals what
+    a second full pass over fl(x·s) would give, to the bit:
+
+    - fl(x·s) moves each coordinate by at most u·M·s, with u = 2^-53 and M
+      the largest |coordinate|, so a pair's rescaled distance D' and its
+      distance D times s differ by at most 2u·√d·M·s.
+    - A pair matters if its computed D' is below 1, or if its squared
+      unit-scaled gap underflows to 0 (a DataRangeError); the latter needs
+      every coordinate gap below 2^-537.5 at the unit exponent e2 of
+      fl(M·s), the largest rescaled |coordinate|.  So with
+      L = max(1, √d·2^(e2-537)), every such pair has D' < L·(1 + (d+2)u):
+      cdist's sum of squares and the square root add at most (d+2)u
+      relative error.
+    - With 1/s <= m/(1 - u), every such pair has
+      D < L·m·(1 + (d+4)u) + 2u·√d·M.  The reach is that bound, in the
+      tree's unit-scaled coordinates, times 1 + 4(d+2)u, which also covers
+      the tree's own sums of squares.
+      Pairs outside it have a computed rescaled distance of at least 1 and
+      no underflow, so leaving them out changes neither whether the scale
+      is bumped nor by how much.
+    - Rows that rescaling makes equal are skipped, since the full pass
+      removes duplicates first.
     """
     if c <= 0.5:
         raise ValueError(f"c must exceed 1/2, got {c}")
-    min_d = min_nonzero_distance(ds.points)
-    if min_d is None:
+    closest = _closest_pass(ds.points)
+    if closest is None:
         return ds, ScaleInfo(1.0, 1.0, 0, EXTRA_LEVELS)
 
+    min_d = _distance_from_unit_sq(closest.best_sq, closest.e)
     if 1.0 <= min_d <= 1.0 + 1e-9:
         # Already normalized: keep coordinates bit-identical (idempotence).
         scale = 1.0
@@ -221,8 +340,8 @@ def normalize(ds: Dataset, c: float) -> tuple[Dataset, ScaleInfo]:
     else:
         scale = 1.0 / min_d
         scaled = Dataset(ds.points * scale)
-        m2 = min_nonzero_distance(scaled.points)
-        if m2 is not None and m2 < 1.0:
+        m2 = _rescaled_min(closest, scale)
+        if m2 < 1.0:
             # Rounding pushed the rescaled minimum a hair under 1.  Bump the
             # scale by the measured shortfall plus a 1e-12 margin; every
             # pairwise distance grows by that factor up to ~1e-14 relative

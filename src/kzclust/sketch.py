@@ -66,7 +66,20 @@ def rank_matrix(ids: np.ndarray, copies: int, seed: int) -> np.ndarray:
 
 
 def _median_estimate(registers: np.ndarray) -> np.ndarray | float:
-    return np.median(2.0 ** registers.astype(np.float64), axis=-1)
+    """Median over the last axis of 2^register, as np.median computes it.
+
+    The registers are partitioned as int8; for an even count the two middle
+    powers of two are averaged, which is exact, as in np.median.
+    """
+    t = registers.shape[-1]
+    mid = t // 2
+    if t % 2:
+        middle = np.partition(registers, mid, axis=-1)[..., mid]
+        return 2.0 ** middle.astype(np.float64)
+    middle = np.partition(registers, (mid - 1, mid), axis=-1)
+    lo = middle[..., mid - 1].astype(np.float64)
+    hi = middle[..., mid].astype(np.float64)
+    return (2.0**lo + 2.0**hi) / 2
 
 
 class DistinctSketch:

@@ -9,7 +9,8 @@ from scipy.spatial.distance import cdist
 
 from kzclust import greedy, lsh, sketch
 from kzclust.cli import generate_mixture as mixture_dataset  # re-exported for the tests
-from kzclust.metric import DataRangeError, Dataset, _unit_scaled, dists_from, normalize
+from kzclust.metric import (EXTRA_LEVELS, DataRangeError, Dataset, ScaleInfo, _delta_exponent,
+                            _pow_2c, _unit_scaled, bbox_diagonal, dists_from, normalize)
 from kzclust.seeding import derive_seed, mix64_array
 
 
@@ -52,6 +53,26 @@ def reference_min_nonzero_distance(points: np.ndarray) -> float | None:
     if best == 0.0:
         raise DataRangeError("distances between distinct points span too wide a range for float64")
     return math.ldexp(best, e)
+
+
+def reference_normalize(ds: Dataset, c: float) -> tuple[Dataset, ScaleInfo]:
+    """metric.normalize with a second full minimum-distance scan of the rescaled
+    points to catch a rounding shortfall below 1; the reference."""
+    min_d = reference_min_nonzero_distance(ds.points)
+    if min_d is None:
+        return ds, ScaleInfo(1.0, 1.0, 0, EXTRA_LEVELS)
+    if 1.0 <= min_d <= 1.0 + 1e-9:
+        scale = 1.0
+        scaled = ds
+    else:
+        scale = 1.0 / min_d
+        scaled = Dataset(ds.points * scale)
+        m2 = reference_min_nonzero_distance(scaled.points)
+        if m2 is not None and m2 < 1.0:
+            scale *= (1.0 + 1e-12) / m2
+            scaled = Dataset(ds.points * scale)
+    m = _delta_exponent(bbox_diagonal(scaled.points), c)
+    return scaled, ScaleInfo(scale, _pow_2c(c, m), m, m + EXTRA_LEVELS)
 
 
 def reference_tables(ds: Dataset, radius: float, c: float, delta: float | None = None,

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -223,6 +224,72 @@ class TestCluster:
         costs = report["result"]["prefix_costs"]
         assert set(costs) == {"1", "2", "3"}
         assert costs["3"] <= costs["2"] <= costs["1"]
+
+
+OVERFLOWING_COSTS = "0,0\n1e200,0\n2e200,0\n5e200,1e200\n"
+
+
+def error_lines(err: str) -> list[str]:
+    """The error lines of a command's standard error, which holds no others but notes."""
+    lines = err.splitlines()
+    assert all(line.startswith(("error: ", "note: ")) for line in lines)
+    return [line for line in lines if line.startswith("error: ")]
+
+
+class TestCostOverflow:
+    def test_cluster_is_data_error(self, tmp_path, capsys):
+        p = tmp_path / "far.csv"
+        p.write_text(OVERFLOWING_COSTS)
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("cluster", str(p), "--k", "1", "--out", str(out)) == 3
+        errors = error_lines(capsys.readouterr().err)
+        assert len(errors) == 1 and "too large" in errors[0]
+        assert not out.exists()
+
+    def test_eval_is_data_error(self, tmp_path, capsys):
+        # The report an overflowing cost used to give: Infinity is not JSON.
+        p = tmp_path / "far.csv"
+        p.write_text(OVERFLOWING_COSTS)
+        out = tmp_path / "r.json"
+        out.write_text('{"input": {"n": 4, "d": 2}, "params": {"z": 2.0}, '
+                       '"result": {"centers": [0], "prefix_costs": {"1": Infinity}}}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("eval", str(out), str(p)) == 3
+        captured = capsys.readouterr()
+        assert "match" not in captured.out.split()
+        errors = error_lines(captured.err)
+        assert len(errors) == 1 and "too large" in errors[0]
+
+
+class TestProjection:
+    def test_projected_report_evaluates_to_match(self, tmp_path, capsys):
+        p, _ = write_instance(tmp_path, n=200, d=30, seed=3)
+        out = tmp_path / "r.json"
+        assert run_cli("cluster", str(p), "--k", "4", "--project-dim", "3",
+                       "--out", str(out)) == 0
+        assert json.loads(out.read_text())["projection"] == {"applied": True, "target_dim": 3}
+        capsys.readouterr()
+        assert run_cli("eval", str(out), str(p)) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "match"
+
+    def test_unprojected_high_dimension_is_usage_error(self, tmp_path, capsys):
+        p, _ = write_instance(tmp_path, n=200, d=30, seed=3)
+        assert run_cli("cluster", str(p), "--k", "4", "--mode", "lsh", "--no-project") == 2
+        errors = error_lines(capsys.readouterr().err)
+        assert len(errors) == 1 and "project the data" in errors[0]
+
+    def test_too_wide_a_range_is_data_error(self, tmp_path, capsys):
+        rows = np.zeros((3, 30))
+        rows[1, 0] = 1.0
+        rows[2, 0] = 1e200
+        p = tmp_path / "wide.csv"
+        cli.write_dataset(cli.Dataset(rows), str(p), "csv")
+        assert run_cli("cluster", str(p), "--k", "2", "--project-dim", "3") == 3
+        errors = error_lines(capsys.readouterr().err)
+        assert len(errors) == 1 and "too wide" in errors[0]
 
 
 def with_result(report, **fields):

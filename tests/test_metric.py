@@ -20,8 +20,8 @@ from kzclust.metric import (
     normalize,
 )
 
-from conftest import (mixture_dataset, reference_min_nonzero_distance, uniform_dataset,
-                      with_duplicates)
+from conftest import (mixture_dataset, reference_min_nonzero_distance, reference_normalize,
+                      uniform_dataset, with_duplicates)
 
 
 class TestCost:
@@ -144,6 +144,19 @@ def _lattice(side: int, d: int) -> np.ndarray:
     return np.stack(axes, axis=-1).reshape(-1, d)
 
 
+def _ulp_steps(seed: int, center: float, span: int, checkerboard: bool) -> np.ndarray:
+    """Points center + k·spacing(center) in 2-d, k an integer pair below span.
+
+    Coordinates then far exceed the gaps, so rescaling rounds each of them by
+    a visible share of the minimum distance.  On the checkerboard (k1 + k2
+    even) the closest pairs are one step apart in both coordinates.
+    """
+    steps = np.random.default_rng(seed).integers(0, span, size=(400, 2))
+    if checkerboard:
+        steps = steps[steps.sum(axis=1) % 2 == 0]
+    return center + steps * np.spacing(center)
+
+
 _POINT_FAMILIES = {
     "mixture-d1": lambda seed: mixture_dataset(500, 1, 8, 0.05, seed).points,
     "mixture-d2": lambda seed: mixture_dataset(500, 2, 8, 0.05, seed).points,
@@ -153,6 +166,8 @@ _POINT_FAMILIES = {
     "lattice-3d": lambda seed: _lattice(3 + seed % 8, 3) * 0.1,
     "duplicates": lambda seed: with_duplicates(400, 3, seed, dup_fraction=0.5).points,
     "rounded": lambda seed: np.random.default_rng(seed).integers(0, 6, size=(300, 2)) * 0.37,
+    "ulp-checkerboard": lambda seed: _ulp_steps(seed, 1e9, 16, checkerboard=True),
+    "ulp-scatter": lambda seed: _ulp_steps(seed, 6e8, 3000, checkerboard=False),
 }
 
 
@@ -169,6 +184,76 @@ class TestMinDistanceOracle:
     def test_lattice_with_many_tied_pairs(self):
         points = _lattice(60, 2)
         assert min_nonzero_distance(points) == reference_min_nonzero_distance(points) == 1.0
+
+
+def _assert_normalize_matches_reference(points: np.ndarray):
+    """normalize(points) equals reference_normalize bit for bit, errors included."""
+    ds = Dataset(points)
+    try:
+        expected = reference_normalize(ds, 5.0)
+    except DataRangeError:
+        with pytest.raises(DataRangeError):
+            normalize(ds, 5.0)
+        return None
+    scaled, info = normalize(ds, 5.0)
+    assert info == expected[1]
+    assert np.array_equal(scaled.points, expected[0].points)
+    return scaled, info
+
+
+class TestOnePassNormalize:
+    """normalize's one KD-tree pass against the two-pass reference, bit for bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(sorted(_POINT_FAMILIES)), st.integers(0, 2**31),
+           st.sampled_from([1.0, 3.7, 1e160, 1e-170]), st.sampled_from([0.0, 1e6, 1e9]))
+    def test_matches_two_pass_reference(self, family, seed, scale, offset):
+        # Offsets far above the spacing make rescaling round each coordinate
+        # by a visible share of the minimum distance.
+        points = (_POINT_FAMILIES[family](seed) + offset) * scale
+        _assert_normalize_matches_reference(points)
+
+    def test_far_lattice(self):
+        points = _lattice(60, 2) * 0.1 + 1e7
+        assert _assert_normalize_matches_reference(points) is not None
+
+    def test_bump_branch_runs(self):
+        bumped = 0
+        for seed in range(4):
+            points = _POINT_FAMILIES["mixture-d2"](seed) + 1e9
+            _, info = _assert_normalize_matches_reference(points)
+            bumped += info.scale != 1.0 / reference_min_nonzero_distance(points)
+        assert bumped
+
+    def test_rows_that_rescaling_merges(self):
+        # Steps of (1, 1) rescale to about 0.7 at a rounding grid of 1, so
+        # some distinct rows become one row, and np.unique drops their pair.
+        for seed in range(4):
+            points = _POINT_FAMILIES["ulp-checkerboard"](seed)
+            scale = 1.0 / reference_min_nonzero_distance(points)
+            assert len(np.unique(points * scale, axis=0)) < len(np.unique(points, axis=0))
+            _assert_normalize_matches_reference(points)
+        # Two such rows alone rescale onto one row and leave no pair at all.
+        pair = 1e9 + np.array([[0.0, 0.0], [1.0, 1.0]]) * np.spacing(1e9)
+        scale = 1.0 / reference_min_nonzero_distance(pair)
+        assert reference_min_nonzero_distance(pair * scale) is None
+        _assert_normalize_matches_reference(pair)
+
+    def test_pairs_beyond_the_minimum_that_rescale_below_it(self):
+        # At seed 4 the rescaled minimum comes from a pair farther apart than
+        # the closest pair by more than the relative slack alone allows.
+        for seed in range(8):
+            _assert_normalize_matches_reference(_POINT_FAMILIES["ulp-scatter"](seed) * 3.7)
+
+    @pytest.mark.parametrize("points", [
+        [[0.0, 0.0], [1.0, 0.0], [1e200, 0.0]],
+        [[0.0], [1e-160], [1e160]],
+    ])
+    def test_range_error_parity(self, points):
+        with pytest.raises(DataRangeError):
+            reference_normalize(Dataset(np.array(points)), 5.0)
+        with pytest.raises(DataRangeError):
+            normalize(Dataset(np.array(points)), 5.0)
 
 
 class TestLevelRadii:

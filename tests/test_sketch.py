@@ -117,6 +117,19 @@ class TestEstimate:
         assert good >= 0.95 * trials
 
 
+    @pytest.mark.parametrize("copies", [1, 2, 35, 36])
+    def test_median_equals_numpy_median(self, copies):
+        rng = np.random.default_rng(copies)
+        registers = rng.integers(-1, 65, size=(500, copies)).astype(np.int8)
+        registers[0] = -1
+        registers[1] = 64
+        registers[2, : copies // 2] = -1
+        registers[2, copies // 2 :] = 64
+        expected = np.median(2.0 ** registers.astype(np.float64), axis=-1)
+        assert np.array_equal(sketch._median_estimate(registers), expected)
+        assert sketch._median_estimate(registers[3]) == expected[3]
+
+
 class TestExactNval:
     def test_isolated_point(self):
         ds = Dataset(np.array([[0.0], [10.0]]))
