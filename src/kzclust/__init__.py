@@ -18,10 +18,9 @@ from .metric import (
     level_radii,
     min_nonzero_distance,
     normalize,
-    radius_at_level,
 )
 from .oracles import OptResult, brute_optimal, kmeanspp, transcribed_algorithm
-from .sketch import DistinctSketch, compute_values
+from .sketch import compute_values
 
 __version__ = "0.1.0"
 
@@ -30,7 +29,6 @@ __all__ = [
     "ClusterParams",
     "DataRangeError",
     "Dataset",
-    "DistinctSketch",
     "GreedyState",
     "NeighborhoodIndex",
     "OptResult",
@@ -48,7 +46,6 @@ __all__ = [
     "min_nonzero_distance",
     "normalize",
     "num_tables",
-    "radius_at_level",
     "remove_around",
     "run",
     "run_incremental",

@@ -290,6 +290,8 @@ def _parse_eval_ks(spec: str | None, k: int) -> list[int]:
         ks = sorted({int(tok) for tok in spec.split(",") if tok.strip()})
     except ValueError:
         raise UsageError(f"bad --eval-k list {spec!r}") from None
+    if not ks:
+        raise UsageError(f"--eval-k list {spec!r} has no entries")
     if any(kk < 1 for kk in ks):
         raise UsageError("--eval-k entries must be >= 1")
     return ks
@@ -362,8 +364,8 @@ def _read_report(path: str, ds: Dataset) -> tuple[list[int], dict[str, float], f
             and all(_is_number(cid, int) and 0 <= cid < ds.n for cid in centers)):
         raise DataError(f"{path}: result.centers must be a nonempty list of point ids "
                         f"in [0, {ds.n})")
-    if not isinstance(prefix_costs, dict):
-        raise DataError(f"{path}: result.prefix_costs must be an object")
+    if not (isinstance(prefix_costs, dict) and prefix_costs):
+        raise DataError(f"{path}: result.prefix_costs must be a nonempty object")
     for key, recorded in prefix_costs.items():
         if not (key.isdecimal() and 1 <= int(key) <= len(centers)):
             raise DataError(f"{path}: prefix-cost key {key!r} is not an integer "

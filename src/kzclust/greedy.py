@@ -126,13 +126,12 @@ def init(ds: Dataset, params: ClusterParams, info: ScaleInfo, mode: str = "lsh",
 
     Value estimation streams its grid tables one at a time
     (sketch.compute_values) and keeps none, so only the retained sequence
-    and removal indexes hold tables.
+    and removal indexes hold tables.  delta, the failure probability of
+    the grid tables, defaults in lsh.draw_tables.
     """
     if mode not in ("exact", "lsh"):
         raise ValueError(f"unknown mode {mode!r}")
     n = ds.n
-    if delta is None:
-        delta = min(0.5, 1.0 / (n * n))
     radii = level_radii(info, params.c)
     if math.log(n) + params.z * math.log(radii[0]) > _LOG_FLOAT_MAX:
         raise ValueError(f"ball values n·R^z exceed the float range at z={params.z}; "

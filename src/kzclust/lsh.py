@@ -183,8 +183,8 @@ class NeighborhoodIndex:
     with g = bucket_base[t] + b.  Once the index holds a dead id, a per-bucket
     live end replaces offsets[g+1] as the bucket's end.
 
-    table_accesses and entries_scanned count the tables and the bucket
-    entries, dead ones included, that lsh-mode queries have read.
+    entries_scanned counts the bucket entries, dead ones included, that
+    lsh-mode queries have read.
     """
 
     def __init__(self, ds: Dataset, radius: float, c: float, mode: str,
@@ -196,7 +196,6 @@ class NeighborhoodIndex:
         self.c = float(c)
         self.mode = mode
         self.live = np.ones(ds.n, dtype=bool)
-        self.table_accesses = 0
         self.entries_scanned = 0
         self.tables: list[GridTable] = []
         if mode == "exact":
@@ -233,7 +232,6 @@ class NeighborhoodIndex:
         if self.mode == "exact":
             dr = dists_from(self.ds.points, point_id)
             return np.flatnonzero(self.live & (dr <= self.radius))
-        self.table_accesses += len(self.tables)
         bucket = self._bucket_base + self._point_bucket[:, point_id]
         local_start = self._offsets[bucket]
         local_end = self._offsets[bucket + 1] if self._live_end is None else self._live_end[bucket]

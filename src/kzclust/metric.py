@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -111,8 +112,9 @@ def _unit_scaled(points: np.ndarray) -> tuple[np.ndarray, int]:
     """Points times 2^-e, with e the binary exponent of the largest |coordinate|.
 
     Distances of the scaled points are those of the input times 2^-e, so
-    their squares cannot overflow at any input magnitude; they underflow only
-    for gaps about 1e161 times smaller than the largest coordinate.
+    their squares cannot overflow at any input magnitude; they fall below the
+    normal range only for gaps about 1e154 times smaller than the largest
+    coordinate.
     Power-of-two scaling is exact, so results scaled back with ldexp are
     bit-identical to unscaled ones wherever those are finite and normal.
     """
@@ -160,12 +162,12 @@ def _near_pairs(tree: cKDTree, nearest: np.ndarray, reach: float):
 
 
 def _distance_from_unit_sq(best_sq: float, e: int) -> float:
-    """ldexp(sqrt(best_sq), e); a zero least squared gap is a range error."""
-    best = math.sqrt(best_sq)
-    if best == 0.0:
-        # Distinct rows whose squared gap underflows next to the largest coordinate.
+    """ldexp(sqrt(best_sq), e); a subnormal least squared gap is a range error."""
+    if best_sq < sys.float_info.min:
+        # Distinct rows whose squared gap, next to the largest coordinate, is
+        # subnormal or 0 and so carries too few bits to be the exact square.
         raise DataRangeError("distances between distinct points span too wide a range for float64")
-    return math.ldexp(best, e)
+    return math.ldexp(math.sqrt(best_sq), e)
 
 
 class _ClosestPass(NamedTuple):
@@ -230,7 +232,7 @@ def _rescaled_min(closest: _ClosestPass, scale: float) -> float:
     top = float(np.abs(uniq).max())
     # Rounding is monotone, so fl(top·scale) is the largest rescaled |coordinate|.
     _, e2 = math.frexp(top * scale)
-    limit = max(1.0, math.ldexp(math.sqrt(d), e2 - 537))
+    limit = max(1.0, math.ldexp(math.sqrt(d), e2 - 511))
     reach = ((limit * math.sqrt(best_sq)
               + 2.0 * _ROUNDOFF * math.sqrt(d) * math.ldexp(top, -e))
              * (1.0 + 4.0 * (d + 2) * _ROUNDOFF))
@@ -272,21 +274,15 @@ def _pow_2c(c: float, e: int) -> float:
     return tc**e
 
 
-def radius_at_level(info: ScaleInfo, c: float, level: int) -> float:
-    """Radius delta/(2c)^level, recomputed from the integer exponent.
-
-    Never accumulated across levels, so there is no drift; when 2c is an
-    integer the value is the correctly rounded rational (2c)^(m - level).
-    """
-    return _pow_2c(c, info.delta_exponent - level)
-
-
 def level_radii(info: ScaleInfo, c: float) -> np.ndarray:
-    """Strictly decreasing radius schedule, one entry per level."""
-    return np.array(
-        [radius_at_level(info, c, lvl) for lvl in range(info.num_levels)],
-        dtype=np.float64,
-    )
+    """Strictly decreasing radius schedule delta/(2c)^level, one entry per level.
+
+    Each radius is recomputed from its integer exponent, never accumulated
+    across levels, so there is no drift; when 2c is an integer it is the
+    correctly rounded rational (2c)^(m - level).
+    """
+    return np.array([_pow_2c(c, info.delta_exponent - lvl) for lvl in range(info.num_levels)],
+                    dtype=np.float64)
 
 
 def normalize(ds: Dataset, c: float) -> tuple[Dataset, ScaleInfo]:
@@ -310,19 +306,20 @@ def normalize(ds: Dataset, c: float) -> tuple[Dataset, ScaleInfo]:
       the largest |coordinate|, so a pair's rescaled distance D' and its
       distance D times s differ by at most 2u·√d·M·s.
     - A pair matters if its computed D' is below 1, or if its squared
-      unit-scaled gap underflows to 0 (a DataRangeError); the latter needs
-      every coordinate gap below 2^-537.5 at the unit exponent e2 of
-      fl(M·s), the largest rescaled |coordinate|.  So with
-      L = max(1, √d·2^(e2-537)), every such pair has D' < L·(1 + (d+2)u):
-      cdist's sum of squares and the square root add at most (d+2)u
-      relative error.
+      unit-scaled gap is below 2^-1022, the least normal float (a
+      DataRangeError).  Rounding is monotone and the squares are summed
+      without cancellation, so the latter needs every coordinate gap below
+      2^-511 at the unit exponent e2 of fl(M·s), the largest rescaled
+      |coordinate|.  So with L = max(1, √d·2^(e2-511)), every such pair has
+      D' < L·(1 + (d+2)u): cdist's sum of squares and the square root add
+      at most (d+2)u relative error.
     - With 1/s <= m/(1 - u), every such pair has
       D < L·m·(1 + (d+4)u) + 2u·√d·M.  The reach is that bound, in the
       tree's unit-scaled coordinates, times 1 + 4(d+2)u, which also covers
       the tree's own sums of squares.
       Pairs outside it have a computed rescaled distance of at least 1 and
-      no underflow, so leaving them out changes neither whether the scale
-      is bumped nor by how much.
+      a normal squared gap, so leaving them out changes neither whether the
+      scale is bumped nor by how much.
     - Rows that rescaling makes equal are skipped, since the full pass
       removes duplicates first.
     """

@@ -1,21 +1,21 @@
-"""Mergeable distinct-count sketches and per-point neighborhood values.
+"""Distinct-count registers and per-point neighborhood values.
 
-A DistinctSketch keeps t independent max-rank registers, where the rank of
-an id under copy j is the index of the lowest set bit of a seeded 64-bit
-hash.  The cardinality estimate is the median over copies of 2^register;
-the classical guarantee puts a fixed set's estimate within a factor 3 of
-its true size with probability 2/3 per copy, boosted by the median.
+rank_matrix gives every id t independent ranks: under copy j, the index of
+the lowest set bit of a seeded 64-bit hash.  A set's registers are the
+register-wise max of its members' ranks, so the registers of A ∪ B are the
+max of those of A and B, an exact union; _bucket_max takes that max for
+every bucket of a CSR partition at once.  The cardinality estimate
+(_median_estimate) is the median over copies of 2^register; the classical
+guarantee puts a fixed set's estimate within a factor 3 of its true size
+with probability 2/3 per copy, boosted by the median.
 
-Merging is register-wise max, which represents set union exactly: the
-sketch of A ∪ B equals merge(sketch(A), sketch(B)) register for register.
-
-compute_values runs the full estimation pipeline for one radius R: sketch
-every bucket of every grid table of a radius-R neighborhood index, and give
-each point the estimated size of the union of its buckets times R^z.  It
-streams the tables lsh.build would draw, one at a time, and builds no
-index: each point's own ranks start its registers, so only the buckets
-that two or more points share are reduced.  With probability 1 - delta
-this lands, for all points simultaneously, inside
+compute_values runs this path for one radius R: each point's registers are
+the union over every grid table of a radius-R neighborhood index of its
+bucket's, and its value is their estimate times R^z.  It streams the tables
+lsh.build would draw, one at a time, and builds no index: each point's own
+ranks start its registers, so only the buckets that two or more points
+share are reduced.  With probability 1 - delta this lands, for all points
+simultaneously, inside
 
     R^z · |B(p, R) ∩ P| / 3  <=  value[p]  <=  3 R^z · |B(p, c·R) ∩ P|.
 
@@ -23,8 +23,8 @@ group_estimates is the same bucket step over a single partition, for the
 degenerate radii where one group already is the ball (lsh.radius_kind): the
 estimate then meets the sandwich for every point at once.
 
-Sketch contents are immutable once built by compute_values; construction
-can run level-parallel since streams are derived per level.
+Every function here is pure; levels can be valued in parallel since their
+streams are derived per level.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ import numpy as np
 from . import lsh
 from .metric import Dataset, dists_from
 from .seeding import GOLDEN, MASK64, derive_seed, mix64_array
-
-_EMPTY_REGISTER = -1
 
 
 def default_copies(n: int) -> int:
@@ -80,54 +78,6 @@ def _median_estimate(registers: np.ndarray) -> np.ndarray | float:
     lo = middle[..., mid - 1].astype(np.float64)
     hi = middle[..., mid].astype(np.float64)
     return (2.0**lo + 2.0**hi) / 2
-
-
-class DistinctSketch:
-    """Max-rank cardinality sketch with t copies; empty registers are -1."""
-
-    __slots__ = ("copies", "seed", "registers")
-
-    def __init__(self, copies: int, seed: int, registers: np.ndarray | None = None):
-        if copies < 1:
-            raise ValueError(f"copies must be >= 1, got {copies}")
-        self.copies = copies
-        self.seed = seed
-        if registers is None:
-            registers = np.full(copies, _EMPTY_REGISTER, dtype=np.int8)
-        self.registers = registers
-
-    def insert(self, point_id: int) -> "DistinctSketch":
-        """Fold one id in; registers only grow, so re-insertion is a no-op."""
-        ranks = rank_matrix(np.array([point_id]), self.copies, self.seed)[0]
-        np.maximum(self.registers, ranks, out=self.registers)
-        return self
-
-    def insert_many(self, point_ids: np.ndarray) -> "DistinctSketch":
-        if len(point_ids) == 0:
-            return self
-        ranks = rank_matrix(np.asarray(point_ids), self.copies, self.seed)
-        np.maximum(self.registers, ranks.max(axis=0), out=self.registers)
-        return self
-
-    def merge(self, other: "DistinctSketch") -> "DistinctSketch":
-        """Union of the underlying sets, register-wise max.  Pure."""
-        if self.copies != other.copies or self.seed != other.seed:
-            raise ValueError("cannot merge sketches with different copies or seed")
-        return DistinctSketch(
-            self.copies, self.seed, np.maximum(self.registers, other.registers)
-        )
-
-    def estimate(self) -> float:
-        """Median over copies of 2^register; 0 for the empty sketch."""
-        if self.registers[0] == _EMPTY_REGISTER:
-            # Registers move in lockstep from the sentinel: all or none are set.
-            return 0.0
-        return float(_median_estimate(self.registers))
-
-
-def sketch_of(point_ids: np.ndarray, copies: int, seed: int) -> DistinctSketch:
-    """Sketch of a set of ids in one shot."""
-    return DistinctSketch(copies, seed).insert_many(point_ids)
 
 
 def exact_counts(ds: Dataset, radii: np.ndarray) -> np.ndarray:

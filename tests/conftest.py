@@ -1,6 +1,7 @@
 """Shared instance generators and run recorders for the test suite."""
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,10 +50,10 @@ def reference_min_nonzero_distance(points: np.ndarray) -> float | None:
         rows = np.arange(stop - start)
         block[rows, rows + start] = np.inf
         best = min(best, float(block.min()))
-    best = math.sqrt(best)
-    if best == 0.0:
+    if best < sys.float_info.min:
+        # A subnormal squared gap has too few bits to be the exact square.
         raise DataRangeError("distances between distinct points span too wide a range for float64")
-    return math.ldexp(best, e)
+    return math.ldexp(math.sqrt(best), e)
 
 
 def reference_normalize(ds: Dataset, c: float) -> tuple[Dataset, ScaleInfo]:

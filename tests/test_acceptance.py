@@ -304,11 +304,12 @@ def test_criterion_9_zero_cost_exactness():
 # ---------------------------------------------------------------- criterion 10
 
 def test_criterion_10_sketch_statistics():
-    ids = np.arange(1024)
+    # One group of 1024 ids, valued with the pipeline's default_copies(1024) = 30 registers.
+    whole = lsh.degenerate_groups(np.arange(1024.0).reshape(-1, 1))["all"]
     good = 0
     trials = 1000
     for seed in range(trials):
-        est = sketch.sketch_of(ids, 30, seed).estimate()
+        est = sketch.group_estimates(whole, seed)[0]
         if 1024 / 3 <= est <= 3 * 1024:
             good += 1
     frac = good / trials

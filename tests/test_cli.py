@@ -173,6 +173,14 @@ class TestCluster:
     def test_missing_file_is_data_error(self, tmp_path):
         assert run_cli("cluster", str(tmp_path / "absent.csv"), "--k", "1") == 3
 
+    def test_empty_eval_k_list_is_usage_error(self, tmp_path, capsys):
+        p, _ = write_instance(tmp_path)
+        out = tmp_path / "r.json"
+        assert run_cli("cluster", str(p), "--k", "2", "--eval-k", ",", "--out", str(out)) == 2
+        errors = error_lines(capsys.readouterr().err)
+        assert len(errors) == 1 and "no entries" in errors[0]
+        assert not out.exists()
+
     def test_nan_in_csv_is_data_error(self, tmp_path, capsys):
         p = tmp_path / "nan.csv"
         p.write_text("0,0\n1,nan\n2,2\n")
@@ -180,13 +188,17 @@ class TestCluster:
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_too_wide_a_range_is_data_error(self, tmp_path, capsys):
-        p = tmp_path / "wide.csv"
-        p.write_text("0,0\n1,0\n1e200,0\n")
-        assert run_cli("cluster", str(p), "--k", "2") == 3
-        lines = capsys.readouterr().err.splitlines()
-        errors = [line for line in lines if line.startswith("error: ")]
-        assert len(errors) == 1 and "too wide" in errors[0]
-        assert all(line.startswith(("error: ", "note: ")) for line in lines)
+        # In the second input the least gap, scaled next to the largest
+        # coordinate, squares to a subnormal float, too coarse to be exact.
+        near_limit = f"0\n{1.5 * 2.0**-537!r}\n{1.5 * (1 + 2.0**-50)!r}\n"
+        for rows in ("0,0\n1,0\n1e200,0\n", near_limit):
+            p = tmp_path / "wide.csv"
+            p.write_text(rows)
+            assert run_cli("cluster", str(p), "--k", "2") == 3
+            lines = capsys.readouterr().err.splitlines()
+            errors = [line for line in lines if line.startswith("error: ")]
+            assert len(errors) == 1 and "too wide" in errors[0]
+            assert all(line.startswith(("error: ", "note: ")) for line in lines)
 
     def test_delta_failure_out_of_range_is_usage_error(self, tmp_path, capsys):
         p, _ = write_instance(tmp_path)
@@ -324,8 +336,9 @@ class TestEval:
         lambda r, n: with_result(r, centers=[]),
         lambda r, n: with_result(r, centers=[cid - n for cid in r["result"]["centers"]]),
         lambda r, n: with_result(r, prefix_costs={"999": r["result"]["prefix_costs"]["3"]}),
+        lambda r, n: with_result(r, prefix_costs={}),
     ], ids=["empty-object", "center-999", "not-json", "key-abc", "no-centers",
-            "negative-centers", "key-999"])
+            "negative-centers", "key-999", "no-prefix-costs"])
     def test_malformed_report_is_data_error(self, tmp_path, capsys, edit):
         p, ds = write_instance(tmp_path, n=50, seed=5)
         out = tmp_path / "r.json"

@@ -217,15 +217,6 @@ class TestQuery:
                 for q in idx.query(pid):
                     assert math.dist(ds.points[pid], ds.points[q]) <= c * radius * (1 + 1e-9)
 
-    def test_table_access_counter(self):
-        ds = uniform_dataset(30, 3, seed=4)
-        idx = lsh.build(ds, 0.4, c=5.0, seed=1, mode="lsh")
-        idx.table_accesses = 0
-        idx.query(5)
-        assert idx.table_accesses == idx.num_tables
-        idx.query(6)
-        assert idx.table_accesses == 2 * idx.num_tables
-
     def test_entries_scanned_counter(self):
         ds = uniform_dataset(30, 3, seed=4)
         idx = lsh.build(ds, 0.4, c=5.0, seed=1, mode="lsh")

@@ -248,6 +248,8 @@ class TestOnePassNormalize:
     @pytest.mark.parametrize("points", [
         [[0.0, 0.0], [1.0, 0.0], [1e200, 0.0]],
         [[0.0], [1e-160], [1e160]],
+        # The squared unit-scaled gap is subnormal: it would round 0.75·2^-536 up to 2^-536.
+        [[0.0], [1.5 * 2.0**-537], [1.5 * (1 + 2.0**-50)]],
     ])
     def test_range_error_parity(self, points):
         with pytest.raises(DataRangeError):

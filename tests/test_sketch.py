@@ -1,4 +1,6 @@
-"""Distinct-count sketches and the per-point value estimation pipeline."""
+"""Distinct-count registers and the per-point value estimation pipeline."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -22,55 +24,39 @@ def reference_rank(point_id: int, copy: int, seed: int) -> int:
     return (h & -h).bit_length() - 1
 
 
+def registers_of(ids, copies: int, seed: int) -> np.ndarray:
+    """Registers of a set of ids: the register-wise max of its members' ranks."""
+    return sketch.rank_matrix(np.asarray(ids), copies, seed).max(axis=0)
+
+
 class TestSketchBasics:
-    def test_insert_idempotent(self):
-        a = sketch.DistinctSketch(10, seed=3).insert(42)
-        b = sketch.DistinctSketch(10, seed=3).insert(42).insert(42)
-        assert np.array_equal(a.registers, b.registers)
-
-    def test_empty_estimate_is_zero(self):
-        assert sketch.DistinctSketch(8, seed=0).estimate() == 0.0
-
     def test_registers_match_reference_recomputation(self):
-        s = sketch.DistinctSketch(12, seed=7)
+        ranks = sketch.rank_matrix(np.arange(64), 12, seed=7)
+        assert ranks.shape == (64, 12) and ranks.dtype == np.int8
         for pid in range(64):
-            s.insert(pid)
-        for j in range(12):
-            expected = max(reference_rank(pid, j, 7) for pid in range(64))
-            assert s.registers[j] == expected
-
-    def test_registers_only_grow(self):
-        s = sketch.DistinctSketch(6, seed=1)
-        prev = s.registers.copy()
-        for pid in range(20):
-            s.insert(pid)
-            assert np.all(s.registers >= prev)
-            prev = s.registers.copy()
+            for j in range(12):
+                assert ranks[pid, j] == reference_rank(pid, j, 7)
 
 
 class TestMerge:
-    def test_identity_element(self):
-        s = sketch.sketch_of(np.arange(10), 8, seed=2)
-        empty = sketch.DistinctSketch(8, seed=2)
-        assert np.array_equal(s.merge(empty).registers, s.registers)
+    """_bucket_max: the register-wise max over each bucket is an exact union."""
 
     def test_idempotent(self):
-        s = sketch.sketch_of(np.arange(10), 8, seed=2)
-        assert np.array_equal(s.merge(s).registers, s.registers)
+        # compute_values folds each point's own ranks into buckets that hold it.
+        ranks = sketch.rank_matrix(np.arange(10), 8, seed=2)
+        twice = sketch._bucket_max(ranks, np.tile(np.arange(10), 2), np.array([0, 20]))
+        assert np.array_equal(twice[0], registers_of(np.arange(10), 8, seed=2))
 
     def test_commutative_associative(self):
-        a = sketch.sketch_of(np.arange(0, 30), 8, seed=5)
-        b = sketch.sketch_of(np.arange(20, 50), 8, seed=5)
-        c = sketch.sketch_of(np.arange(45, 60), 8, seed=5)
-        assert np.array_equal(a.merge(b).registers, b.merge(a).registers)
-        assert np.array_equal(a.merge(b).merge(c).registers, a.merge(b.merge(c)).registers)
-
-    def test_mismatch_rejected(self):
-        a = sketch.DistinctSketch(8, seed=1)
-        with pytest.raises(ValueError):
-            a.merge(sketch.DistinctSketch(8, seed=2))
-        with pytest.raises(ValueError):
-            a.merge(sketch.DistinctSketch(9, seed=1))
+        # Overlapping buckets folded in any order give the registers of their union.
+        ranks = sketch.rank_matrix(np.arange(60), 8, seed=5)
+        sets = [np.arange(0, 30), np.arange(20, 50), np.arange(45, 60)]
+        union = registers_of(np.arange(60), 8, seed=5)
+        for perm in itertools.permutations(sets):
+            offsets = np.cumsum([0] + [len(ids) for ids in perm])
+            buckets = sketch._bucket_max(ranks, np.concatenate(perm), offsets)
+            assert np.array_equal(np.maximum(np.maximum(buckets[0], buckets[1]), buckets[2]),
+                                  union)
 
     def test_merge_equals_union_sketch(self):
         rng = np.random.default_rng(31)
@@ -78,32 +64,30 @@ class TestMerge:
             ids_a = rng.choice(2000, size=rng.integers(1, 60), replace=False)
             ids_b = rng.choice(2000, size=rng.integers(1, 60), replace=False)
             seed = int(rng.integers(1 << 32))
-            sa = sketch.sketch_of(ids_a, 10, seed)
-            sb = sketch.sketch_of(ids_b, 10, seed)
-            union = sketch.sketch_of(np.union1d(ids_a, ids_b), 10, seed)
-            assert np.array_equal(sa.merge(sb).registers, union.registers)
+            ranks = sketch.rank_matrix(np.arange(2000), 10, seed)
+            buckets = sketch._bucket_max(ranks, np.concatenate([ids_a, ids_b]),
+                                         np.array([0, len(ids_a), len(ids_a) + len(ids_b)]))
+            assert np.array_equal(np.maximum(buckets[0], buckets[1]),
+                                  registers_of(np.union1d(ids_a, ids_b), 10, seed))
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=40), st.integers(0, 2**31))
     def test_insertion_order_invariance(self, ids, seed):
+        # The order of ids inside a bucket is unspecified (lsh.table_buckets).
         rng = np.random.default_rng(0)
-        shuffled = list(ids)
-        rng.shuffle(shuffled)
-        a = sketch.DistinctSketch(8, seed)
-        b = sketch.DistinctSketch(8, seed)
-        for i in ids:
-            a.insert(i)
-        for i in shuffled:
-            b.insert(i)
-        assert np.array_equal(a.registers, b.registers)
+        ranks = sketch.rank_matrix(np.array(ids), 8, seed)
+        offsets = np.unique(np.append(rng.integers(0, len(ids), size=3), [0, len(ids)]))
+        shuffled = np.concatenate([rng.permutation(np.arange(lo, hi))
+                                   for lo, hi in zip(offsets[:-1], offsets[1:])])
+        assert np.array_equal(sketch._bucket_max(ranks, np.arange(len(ids)), offsets),
+                              sketch._bucket_max(ranks, shuffled, offsets))
 
 
 class TestEstimate:
     def test_singleton_mostly_in_factor_3(self):
         hits = 0
         for seed in range(200):
-            s = sketch.DistinctSketch(1, seed).insert(17)
-            if 1 / 3 <= s.estimate() <= 3:
+            if 1 / 3 <= sketch._median_estimate(registers_of([17], 1, seed)) <= 3:
                 hits += 1
         assert hits >= 100  # true per-seed rate is 3/4 with a single copy
 
@@ -111,11 +95,10 @@ class TestEstimate:
         good = 0
         trials = 100
         for seed in range(trials):
-            s = sketch.sketch_of(np.arange(1024), 30, seed)
-            if 1024 / 3 <= s.estimate() <= 3 * 1024:
+            est = sketch._median_estimate(registers_of(np.arange(1024), 30, seed))
+            if 1024 / 3 <= est <= 3 * 1024:
                 good += 1
         assert good >= 0.95 * trials
-
 
     @pytest.mark.parametrize("copies", [1, 2, 35, 36])
     def test_median_equals_numpy_median(self, copies):
@@ -216,7 +199,8 @@ class TestGroupEstimates:
     def test_one_group_equals_whole_set_sketch(self):
         n, seed = 300, 17
         groups = lsh.degenerate_groups(uniform_dataset(n, 2, seed=1).points)["all"]
-        expected = sketch.sketch_of(np.arange(n), sketch.default_copies(n), seed).estimate()
+        copies = sketch.default_copies(n)
+        expected = sketch._median_estimate(registers_of(np.arange(n), copies, seed))
         assert np.all(sketch.group_estimates(groups, seed) == expected)
 
     def test_each_group_equals_its_sketch(self):
@@ -226,4 +210,5 @@ class TestGroupEstimates:
         est = sketch.group_estimates(groups, seed)
         for pid in range(n):
             members = np.flatnonzero(groups.group_of == groups.group_of[pid])
-            assert est[pid] == sketch.sketch_of(members, sketch.default_copies(n), seed).estimate()
+            assert est[pid] == sketch._median_estimate(
+                registers_of(members, sketch.default_copies(n), seed))
