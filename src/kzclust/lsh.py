@@ -155,9 +155,13 @@ def table_buckets(points_t: np.ndarray, cell_width: float, shift: np.ndarray,
     np.floor(cells, out=cells)
     keys = cells.astype(np.int64).view(np.uint64)
     keys *= mixers[:, None]
-    # 64-bit mixed cell key; distinct-cell collisions (~n^2/2^64) are caught
-    # by the query-time distance filter.
-    folded = mix64_array(np.bitwise_xor.reduce(keys, axis=0))
+    # 64-bit mixed cell key: sum_i cell_i·m_i mod 2^64, then SplitMix64 (a
+    # bijection).  Two distinct cells collide only where sum_i Δ_i·m_i = 0
+    # mod 2^64, about 2^-63 per pair over the odd mixers, and the query-time
+    # distance filter keeps a collision harmless.  An xor fold would merge
+    # cells whose odd coordinates flip sign in pairs, since -x = ~x ^ 1 for
+    # odd x, for every mixer draw.
+    folded = mix64_array(np.add.reduce(keys, axis=0))
     order = np.argsort(folded)
     sorted_keys = folded[order]
     first = np.empty(len(order), dtype=bool)

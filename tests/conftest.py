@@ -91,7 +91,7 @@ def reference_tables(ds: Dataset, radius: float, c: float, delta: float | None =
     tables = []
     for shift, mix in zip(shifts, mixers):
         cells = np.floor((ds.points + shift) * (1.0 / cell_width)).astype(np.int64)
-        folded = mix64_array(np.bitwise_xor.reduce(cells.astype(np.uint64) * mix, axis=1))
+        folded = mix64_array(np.add.reduce(cells.astype(np.uint64) * mix, axis=1))
         order = np.argsort(folded, kind="stable")
         sorted_keys = folded[order]
         is_new = np.empty(n, dtype=bool)

@@ -122,6 +122,19 @@ class TestTableBuckets:
                 assert _bucket_members(table.order, table.offsets) == _bucket_members(order, offsets)
 
 
+class TestCellKeys:
+    def test_mirrored_cells_get_distinct_buckets(self):
+        # Cells (-1, -1) and (1, 1), and (-1, 3) and (1, -3): an xor fold of
+        # cell·mixer gives each pair one key for every odd mixer draw, since
+        # -x = ~x ^ 1 for odd x.
+        points_t = np.array([[-0.5, 1.5, -0.5, 1.5], [-0.5, 1.5, 3.5, -2.5]])
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            mixers = rng.integers(0, 1 << 63, size=2, dtype=np.uint64) * np.uint64(2) + np.uint64(1)
+            _, first = lsh.table_buckets(points_t, 1.0, np.zeros(2), mixers)
+            assert first.all()
+
+
 def _collision_rate(diff, cell_width, trials, rng, chunk=25_000):
     """Share of uniformly shifted grids of the given width that put 0 and diff in one cell."""
     hits = 0
