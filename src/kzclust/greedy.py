@@ -5,9 +5,10 @@ all levels, then builds, per level, a "sequence" neighborhood index at radius
 10c·R (never mutated) and a "removal" index at radius 100c^4·R (points are
 deleted from it as centers claim them).  In lsh mode each of these radii is
 classified once by lsh.radius_kind: a grid radius gets bucket-sketch values
-and grid-LSH tables, a degenerate one (whole set or duplicate groups) gets
-group estimates and a table-free index, both exact about which points the
-ball holds.  Exact mode counts and scans instead.
+and a grid-LSH index, which fills its tables only when its queries pay for
+them; a degenerate one (whole set or duplicate groups) gets group estimates
+and a table-free index, both exact about which points the ball holds.
+Exact mode counts and scans instead.
 
 Each iteration pops the available ball with the largest value, walks it down
 one level at a time -- always moving to the neighbor whose next-level ball
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from . import lsh, sketch
 from .metric import ClusterParams, Dataset, ScaleInfo, bbox_diagonal, level_radii, normalize
@@ -87,15 +89,24 @@ class AvailableSet:
         return self._avail[level * self.n + np.asarray(points)]
 
     def pop(self) -> BallRef | None:
-        """Consume and return the largest available ball, or None."""
-        while self._cursor < len(self._order) and not self._avail[self._order[self._cursor]]:
-            self._cursor += 1
-        if self._cursor == len(self._order):
-            return None
-        flat = self._order[self._cursor]
-        self._avail[flat] = False
-        self._cursor += 1
-        return BallRef(int(flat % self.n), int(flat // self.n))
+        """Consume and return the largest available ball, or None.
+
+        Cleared balls are skipped a window at a time, each window twice the
+        last, since a removal sweep can clear long runs of the presort.
+        """
+        width = 64
+        while self._cursor < len(self._order):
+            window = self._order[self._cursor : self._cursor + width]
+            avail = self._avail[window]
+            first = int(avail.argmax())
+            if avail[first]:
+                flat = window[first]
+                self._avail[flat] = False
+                self._cursor += first + 1
+                return BallRef(int(flat % self.n), int(flat // self.n))
+            self._cursor += len(window)
+            width *= 2
+        return None
 
 
 class GreedyState:
@@ -125,9 +136,13 @@ def init(ds: Dataset, params: ClusterParams, info: ScaleInfo, mode: str = "lsh",
     """Preprocess a normalized dataset: values, availability, index families.
 
     Value estimation streams its grid tables one at a time
-    (sketch.compute_values) and keeps none, so only the retained sequence
-    and removal indexes hold tables.  delta, the failure probability of
-    the grid tables, defaults in lsh.draw_tables.
+    (sketch.compute_values) and keeps none.  The retained grid indexes
+    start unfilled and share one KD-tree for their probes (lsh.build); a
+    grid removal index is filled here when params.k >= L, since it gets
+    one query per iteration and such a run would fill it anyway, inside
+    greedy.run.  params.k so decides only when tables are built, never what
+    a query returns, and the ordering stays independent of k.  delta, the
+    failure probability of the grid tables, defaults in lsh.draw_tables.
     """
     if mode not in ("exact", "lsh"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -159,11 +174,13 @@ def init(ds: Dataset, params: ClusterParams, info: ScaleInfo, mode: str = "lsh",
             else:
                 values[lvl] = sketch.group_estimates(groups[kind], seed) * radius**params.z
 
+        tree = cKDTree(ds.points)
+
         def index(radius: float, seed: int):
             kind = lsh.radius_kind(radius, params.c, diag)
             if kind == "grid":
                 return lsh.build(ds, radius, c=params.c, delta=delta, seed=seed, mode="lsh",
-                                 num_levels=info.num_levels)
+                                 num_levels=info.num_levels, tree=tree)
             return lsh.degenerate_index(kind, groups[kind])
 
     seq_indexes = []
@@ -172,6 +189,9 @@ def init(ds: Dataset, params: ClusterParams, info: ScaleInfo, mode: str = "lsh",
         radius = float(radii[lvl])
         seq_indexes.append(index(10.0 * params.c * radius, derive_seed(params.seed, "seq", lvl)))
         rem_indexes.append(index(100.0 * params.c**4 * radius, derive_seed(params.seed, "rem", lvl)))
+    for rem in rem_indexes:
+        if isinstance(rem, lsh.NeighborhoodIndex) and params.k >= rem.num_tables:
+            rem.fill()
 
     return GreedyState(ds, params, info, values, seq_indexes, rem_indexes)
 

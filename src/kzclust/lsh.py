@@ -39,6 +39,16 @@ A table buckets the points by a 64-bit mixed key of their cell
 inside a bucket is unspecified: queries deduplicate their candidates and
 value estimation takes maxima, so nothing reads it.
 
+build draws an index's tables (draw_tables) but fills no storage.  Its
+queries start as probes, which compute the queried point's and nearby
+points' keys table by table and give the filled tables' answer (see
+NeighborhoodIndex).  The index fills its storage once its probe work passes
+L·n checks, about the cost of the fill, or when its tables are read; by the
+ski-rental argument (Karlin, Manasse, Rudolph and Sleator, Algorithmica
+1988) it then spends at most about twice what the cheaper of never and
+always filling would have.  A run that sends an index a few queries never
+fills it.
+
 In "exact" mode there are no tables and a query scans the live points;
 both sides of the sandwich then hold deterministically (N = B(p, R) ∩ live).
 
@@ -50,12 +60,12 @@ B(p, c·R).  Their indexes answer from a DuplicateGroups partition -- the
 whole set as one group, or the exact-duplicate groups -- and meet the
 sandwich with probability 1.
 
-Concurrency: the build is pure per table, and queries on an index that
-never removes (the sequence and value-estimation indexes) are read-only.
-A removal index mutates on both sides: remove_many() marks ids dead, and
-a query that meets dead ids rewrites the prefixes of the buckets it read.
-Queries and removals on one removal index must therefore not run
-concurrently, and neither may two of its queries.
+Concurrency: the fill is pure per table, and a probe writes nothing but
+its index's probe_checks counter.  But any grid-index query may be the one
+that fills the storage, and on a removal index remove_many() marks ids dead
+and a query that meets dead ids rewrites the prefixes of the buckets it
+read.  Calls on one grid index must therefore not run concurrently.  The
+degenerate sequence indexes' queries are read-only.
 """
 
 from __future__ import annotations
@@ -65,6 +75,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+from scipy.spatial import cKDTree
 
 from .metric import Dataset, dists_from
 from .seeding import mix64_array
@@ -141,6 +153,20 @@ def draw_tables(n: int, d: int, radius: float, c: float, delta: float | None, se
     return cell_width, shifts, mixers
 
 
+def _key_sums(cells: np.ndarray, cell_width: float, mixers: np.ndarray, axis: int) -> np.ndarray:
+    """Unmixed cell keys: sum_i floor(cells_i / w)·m_i mod 2^64 along axis.
+
+    cells holds shifted coordinates and is overwritten; mixers broadcasts
+    against it.  table_buckets and the probe both compute keys here, so they
+    agree to the bit.
+    """
+    cells *= 1.0 / cell_width
+    np.floor(cells, out=cells)
+    keys = cells.astype(np.int64).view(np.uint64)
+    keys *= mixers
+    return np.add.reduce(keys, axis=axis)
+
+
 def table_buckets(points_t: np.ndarray, cell_width: float, shift: np.ndarray,
                   mixers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bucket the points by their cell in one shifted grid: (order, first).
@@ -150,18 +176,13 @@ def table_buckets(points_t: np.ndarray, cell_width: float, shift: np.ndarray,
     first[i] is True where order[i] starts a new bucket.  Buckets are
     numbered in key order; the order of ids inside a bucket is unspecified.
     """
-    cells = points_t + shift[:, None]
-    cells *= 1.0 / cell_width
-    np.floor(cells, out=cells)
-    keys = cells.astype(np.int64).view(np.uint64)
-    keys *= mixers[:, None]
     # 64-bit mixed cell key: sum_i cell_i·m_i mod 2^64, then SplitMix64 (a
     # bijection).  Two distinct cells collide only where sum_i Δ_i·m_i = 0
     # mod 2^64, about 2^-63 per pair over the odd mixers, and the query-time
     # distance filter keeps a collision harmless.  An xor fold would merge
     # cells whose odd coordinates flip sign in pairs, since -x = ~x ^ 1 for
     # odd x, for every mixer draw.
-    folded = mix64_array(np.add.reduce(keys, axis=0))
+    folded = mix64_array(_key_sums(points_t + shift[:, None], cell_width, mixers[:, None], 0))
     order = np.argsort(folded)
     sorted_keys = folded[order]
     first = np.empty(len(order), dtype=bool)
@@ -177,65 +198,125 @@ def _segment_positions(start: np.ndarray, length: np.ndarray) -> np.ndarray:
     return pos
 
 
+# The probe checks its first candidates against 2 tables, then twice as many
+# each round, with at most this many candidate coordinates per round.
+_PROBE_FIRST_TABLES = 2
+_PROBE_CHUNK = 1 << 18
+
+
 class NeighborhoodIndex:
     """Radius-R neighborhood structure over a fixed dataset; supports removal.
 
-    In lsh mode the L tables live in stacked storage: order and point_bucket
-    are (L, n) int32, and every table's offsets (its bucket starts, then n)
-    sit back to back in one flat int32 array, table t's from
-    bucket_base[t].  Bucket b of table t is order[t, offsets[g]:offsets[g+1]]
-    with g = bucket_base[t] + b.  Once the index holds a dead id, a per-bucket
-    live end replaces offsets[g+1] as the bucket's end.
+    In lsh mode the index holds its L tables' shifts and key mixers from
+    the start, but fills no table storage until that pays (fill).  Until
+    then a query is a probe: the live points within w in every coordinate
+    (w the cell width, read from a Chebyshev KD-tree), then within c·R,
+    then those whose key (table_buckets) equals the queried point's in some
+    table.  Tables are checked in growing chunks, and a candidate drops out
+    at its first match.  probe_checks counts the candidate × table checks.
+    A probe gives the filled tables' answer: sharing a cell needs every
+    coordinate within w, the keys are the same bits, and only a pair of
+    distinct cells with one 64-bit key (about 2^-63 per pair) could be
+    answered differently.
+
+    Filled storage is stacked: order and point_bucket are (L, n) int32, and
+    every table's offsets (its bucket starts, then n) sit back to back in
+    one flat int32 array, table t's from bucket_base[t].  Bucket b of table
+    t is order[t, offsets[g]:offsets[g+1]] with g = bucket_base[t] + b.
+    Once the index holds a dead id, a per-bucket live end replaces
+    offsets[g+1] as the bucket's end.
 
     entries_scanned counts the bucket entries, dead ones included, that
-    lsh-mode queries have read.
+    queries on the filled tables have read.
     """
 
     def __init__(self, ds: Dataset, radius: float, c: float, mode: str,
-                 shifts: np.ndarray | None = None, cell_width: float = 0.0,
-                 order: np.ndarray | None = None, point_bucket: np.ndarray | None = None,
-                 offsets: np.ndarray | None = None, bucket_base: np.ndarray | None = None):
+                 cell_width: float = 0.0, shifts: np.ndarray | None = None,
+                 mixers: np.ndarray | None = None, tree: cKDTree | None = None):
         self.ds = ds
         self.radius = float(radius)
         self.c = float(c)
         self.mode = mode
         self.live = np.ones(ds.n, dtype=bool)
         self.entries_scanned = 0
-        self.tables: list[GridTable] = []
-        if mode == "exact":
+        self.probe_checks = 0
+        self._cell_width = cell_width
+        self._shifts = shifts
+        self._mixers = mixers
+        self._tree = tree
+        self._order: np.ndarray | None = None
+        self._live_end: np.ndarray | None = None
+        self._tables: list[GridTable] = []
+
+    @property
+    def num_tables(self) -> int:
+        return 0 if self._shifts is None else len(self._shifts)
+
+    @property
+    def tables(self) -> list[GridTable]:
+        """The grid tables; reading them fills the storage."""
+        self.fill()
+        return self._tables
+
+    def fill(self) -> None:
+        """Build the stacked table storage, once; answers do not change."""
+        if self._shifts is None or self._order is not None:
             return
-        ell = len(order)
+        n, ell = self.ds.n, self.num_tables
+        order = np.empty((ell, n), dtype=np.int32)
+        point_bucket = np.empty((ell, n), dtype=np.int32)
+        # Sized for n buckets per table, then shrunk in place: the bucket count
+        # is known only after each table's sort, and a grown copy would double
+        # the offsets' peak memory.
+        offsets = np.empty(ell * (n + 1), dtype=np.int32)
+        bucket_base = np.empty(ell, dtype=np.int64)
+        points_t = np.ascontiguousarray(self.ds.points.T)
+        used = 0
+        for t in range(ell):
+            sort, first = table_buckets(points_t, self._cell_width, self._shifts[t],
+                                        self._mixers[t])
+            starts = np.flatnonzero(first)
+            bucket_base[t] = used
+            offsets[used : used + len(starts)] = starts
+            used += len(starts)
+            offsets[used] = n
+            used += 1
+            order[t] = sort
+            point_bucket[t, sort] = np.cumsum(first) - 1
+        offsets.resize(used, refcheck=False)
         self._order = order.reshape(-1)
         self._point_bucket = point_bucket
         self._offsets = offsets
         self._bucket_base = bucket_base
-        self._row_base = np.arange(ell, dtype=np.int64) * ds.n
-        self._live_end: np.ndarray | None = None
+        self._row_base = np.arange(ell, dtype=np.int64) * n
+        if not self.live.all():
+            self._live_end = offsets[1:].copy()
         bounds = np.append(bucket_base, len(offsets))
-        self.tables = [
-            GridTable(shifts[t], cell_width, point_bucket[t], order[t],
+        self._tables = [
+            GridTable(self._shifts[t], self._cell_width, point_bucket[t], order[t],
                       offsets[bounds[t] : bounds[t + 1]])
             for t in range(ell)
         ]
-
-    @property
-    def num_tables(self) -> int:
-        return len(self.tables)
 
     def query(self, point_id: int) -> np.ndarray:
         """Live ids within the sandwich around the stored point, ascending.
 
         The queried point may itself have been removed; it is then excluded
-        like any other dead id.  All L buckets of the point are gathered in
-        one step.  On an index that holds dead ids, a query also compacts
-        each bucket it reads: the bucket's live ids move, in their order, to
-        its front and its live end moves down, so a dead id is read at most
-        once per table.  Such a query writes to the tables, so queries and
-        removals on one index must not run concurrently.
+        like any other dead id.  An index whose probe work has passed L·n
+        fills its tables first (ski rental: the probes then cost at most
+        about as much as the fill).  On filled tables all L buckets of the
+        point are gathered in one step; on an index that holds dead ids,
+        the query also compacts each bucket it read: the bucket's live ids
+        move, in their order, to its front and its live end moves down, so
+        a dead id is read at most once per table.
         """
         if self.mode == "exact":
             dr = dists_from(self.ds.points, point_id)
             return np.flatnonzero(self.live & (dr <= self.radius))
+        if self._order is None and self.probe_checks > self.num_tables * self.ds.n:
+            self.fill()
+        if self._order is None:
+            return self._probe(point_id)
         bucket = self._bucket_base + self._point_bucket[:, point_id]
         local_start = self._offsets[bucket]
         local_end = self._offsets[bucket + 1] if self._live_end is None else self._live_end[bucket]
@@ -254,7 +335,10 @@ class NeighborhoodIndex:
                 cand = cand[alive]
                 self._order[_segment_positions(start, kept)] = cand
                 self._live_end[bucket] = local_start + kept
-        cand = np.unique(cand)
+        return self._within_reach(np.unique(cand), point_id)
+
+    def _within_reach(self, cand: np.ndarray, point_id: int) -> np.ndarray:
+        """The candidates within c·R of the point, as int64."""
         if cand.size == 0:
             return cand.astype(np.int64)
         diff = self.ds.points[cand] - self.ds.points[point_id]
@@ -262,18 +346,51 @@ class NeighborhoodIndex:
         reach = self.c * self.radius
         return cand[sq <= reach * reach].astype(np.int64)
 
+    def _probe(self, point_id: int) -> np.ndarray:
+        """The tables' answer for a point, from its key in each table; ascending."""
+        points = self.ds.points
+        if self._tree is None:
+            self._tree = cKDTree(points)
+        w = self._cell_width
+        # Sharing a cell needs |x_i - y_i| < w in exact arithmetic.  The cell
+        # step's rounding (shift, scale, floor) and the tree's differences
+        # move that by a few ulps of the largest |coordinate| plus w at most,
+        # far inside the slack.
+        top = max(np.abs(self._tree.mins).max(), np.abs(self._tree.maxes).max())
+        box = (w + 2.0**-48 * (top + w)) * (1.0 + 2.0**-48)
+        cand = np.asarray(self._tree.query_ball_point(points[point_id], box, p=np.inf),
+                          dtype=np.int64)
+        rest = self._within_reach(cand[self.live[cand]], point_id)
+        home = _key_sums(points[point_id] + self._shifts, w, self._mixers, 1)
+        found = [rest[:0]]
+        lo, step = 0, _PROBE_FIRST_TABLES
+        while rest.size and lo < len(home):
+            hi = min(len(home), lo + step, lo + max(1, _PROBE_CHUNK // (rest.size * self.ds.d)))
+            keys = _key_sums(points[rest][:, None, :] + self._shifts[lo:hi], w,
+                             self._mixers[lo:hi], 2)
+            self.probe_checks += rest.size * (hi - lo)
+            hit = (keys == home[lo:hi]).any(axis=1)
+            found.append(rest[hit])
+            rest = rest[~hit]
+            lo, step = hi, 2 * step
+        return np.sort(np.concatenate(found))
+
     def remove_many(self, point_ids: np.ndarray) -> None:
         """Mark points dead; they never appear in later query results."""
         self.live[point_ids] = False
-        if self.tables and self._live_end is None and len(point_ids):
+        if self._order is not None and self._live_end is None and len(point_ids):
             self._live_end = self._offsets[1:].copy()
 
 
 def build(ds: Dataset, radius: float, c: float = 5.0, delta: float | None = None,
-          seed: int = 0, mode: str = "lsh", num_levels: int = 1) -> NeighborhoodIndex:
-    """Construct a NeighborhoodIndex over the dataset.
+          seed: int = 0, mode: str = "lsh", num_levels: int = 1,
+          tree: cKDTree | None = None) -> NeighborhoodIndex:
+    """Construct a NeighborhoodIndex over the dataset; its tables start unfilled.
 
     delta defaults to 1/n^2 (clamped below 1).  Deterministic given seed.
+    tree, a cKDTree over ds.points, serves the probes and may be shared by
+    every index over the dataset; without one the index builds its own at
+    its first probe.
     """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
@@ -281,32 +398,8 @@ def build(ds: Dataset, radius: float, c: float = 5.0, delta: float | None = None
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "exact":
         return NeighborhoodIndex(ds, radius, c, mode)
-
-    n = ds.n
-    cell_width, shifts, mixers = draw_tables(n, ds.d, radius, c, delta, seed, num_levels)
-    ell = len(shifts)
-    order = np.empty((ell, n), dtype=np.int32)
-    point_bucket = np.empty((ell, n), dtype=np.int32)
-    # Sized for n buckets per table, then shrunk in place: the bucket count
-    # is known only after each table's sort, and a grown copy would double
-    # the offsets' peak memory.
-    offsets = np.empty(ell * (n + 1), dtype=np.int32)
-    bucket_base = np.empty(ell, dtype=np.int64)
-    points_t = np.ascontiguousarray(ds.points.T)
-    used = 0
-    for t in range(ell):
-        sort, first = table_buckets(points_t, cell_width, shifts[t], mixers[t])
-        starts = np.flatnonzero(first)
-        bucket_base[t] = used
-        offsets[used : used + len(starts)] = starts
-        used += len(starts)
-        offsets[used] = n
-        used += 1
-        order[t] = sort
-        point_bucket[t, sort] = np.cumsum(first) - 1
-    offsets.resize(used, refcheck=False)
-    return NeighborhoodIndex(ds, radius, c, mode, shifts, cell_width, order, point_bucket,
-                             offsets, bucket_base)
+    cell_width, shifts, mixers = draw_tables(ds.n, ds.d, radius, c, delta, seed, num_levels)
+    return NeighborhoodIndex(ds, radius, c, mode, cell_width, shifts, mixers, tree)
 
 
 def radius_kind(radius: float, c: float, diag: float) -> str:

@@ -6,9 +6,9 @@ fixes the geometric schedule of ball radii that the index and greedy layers
 operate on: radii delta/(2c)^level for level = 0 .. log_2c(delta) + 7.
 normalize makes one exact KD-tree pass at every n: it gives the minimum
 distance and, from the same tree, the minimum after rescaling (see
-normalize).  The tree's queries run on every core the process may use;
-each point's answer is computed on its own, so results do not depend on
-the core count.
+normalize).  The tree's queries run on every core the process may use once
+they cover at least 2^16 coordinates, and on one below that; each point's
+answer is computed on its own, so results do not depend on the core count.
 
 All data is float64.  A Dataset is immutable after construction and every
 function here is pure, so concurrent use is safe.
@@ -139,13 +139,21 @@ def cost(ds: Dataset, centers: Sequence[int], z: float) -> float:
     return total
 
 
-def _workers() -> int:
-    """Cores this process may run on, for the KD-tree queries.
+# Below this many query coordinates a KD-tree query runs on one worker: on a
+# 2-vCPU Xeon VM, starting the second cost more than it saved (normalize at
+# n=8704, d=3: 32 ms on one worker, 58 ms on two; n·d = 65536 broke even;
+# n=8704, d=64: 706 ms against 480 ms).
+_PARALLEL_MIN_COORDS = 1 << 16
 
-    Each query point's result is computed on its own, so every worker count
-    gives the same output.
+
+def _workers(coords: int) -> int:
+    """Workers for a KD-tree query over coords query coordinates.
+
+    One below _PARALLEL_MIN_COORDS, else every core this process may run
+    on.  Each query point's result is computed on its own, so every worker
+    count gives the same output.
     """
-    return len(os.sched_getaffinity(0))
+    return 1 if coords < _PARALLEL_MIN_COORDS else len(os.sched_getaffinity(0))
 
 
 def _near_pairs(tree: cKDTree, nearest: np.ndarray, reach: float):
@@ -156,7 +164,7 @@ def _near_pairs(tree: cKDTree, nearest: np.ndarray, reach: float):
     """
     heads = np.flatnonzero(nearest <= reach)
     for head, ball in zip(heads, tree.query_ball_point(tree.data[heads], reach,
-                                                       workers=_workers())):
+                                                       workers=_workers(heads.size * tree.m))):
         ball = np.asarray(ball)
         yield head, ball[ball != head]
 
@@ -200,7 +208,7 @@ def _closest_pass(points: np.ndarray) -> _ClosestPass | None:
         return None
     unit, e = _unit_scaled(uniq)
     tree = cKDTree(unit)
-    nearest = tree.query(unit, k=2, workers=_workers())[0][:, 1]
+    nearest = tree.query(unit, k=2, workers=_workers(unit.size))[0][:, 1]
     best_sq = min(float(cdist(unit[head : head + 1], unit[others], metric="sqeuclidean").min())
                   for head, others in _near_pairs(tree, nearest,
                                                   float(nearest.min()) * (1.0 + 1e-9)))
@@ -336,6 +344,9 @@ def normalize(ds: Dataset, c: float) -> tuple[Dataset, ScaleInfo]:
         scaled = ds
     else:
         scale = 1.0 / min_d
+        if math.isinf(scale):
+            raise DataRangeError(f"the least distance between distinct points ({min_d:.3g}) "
+                                 "is too small to rescale in float64")
         scaled = Dataset(ds.points * scale)
         m2 = _rescaled_min(closest, scale)
         if m2 < 1.0:

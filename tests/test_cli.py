@@ -200,6 +200,16 @@ class TestCluster:
             assert len(errors) == 1 and "too wide" in errors[0]
             assert all(line.startswith(("error: ", "note: ")) for line in lines)
 
+    def test_subnormal_least_gap_is_data_error(self, tmp_path, capsys):
+        # 1/1e-310 overflows, so no scale brings the least gap up to 1.
+        p = tmp_path / "tiny.csv"
+        p.write_text("0\n1e-310\n3e-310\n")
+        assert run_cli("cluster", str(p), "--k", "2") == 3
+        lines = capsys.readouterr().err.splitlines()
+        errors = [line for line in lines if line.startswith("error: ")]
+        assert len(errors) == 1 and "too small" in errors[0]
+        assert all(line.startswith(("error: ", "note: ")) for line in lines)
+
     def test_delta_failure_out_of_range_is_usage_error(self, tmp_path, capsys):
         p, _ = write_instance(tmp_path)
         assert run_cli("cluster", str(p), "--k", "2", "--delta-failure", "2") == 2

@@ -389,6 +389,85 @@ class TestCompaction:
                 assert ix.entries_scanned <= 2 * n
 
 
+def _filled(index):
+    return index._order is not None
+
+
+class TestProbeFirst:
+    """A grid index answers by probing until it fills; answers must not change."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), st.sampled_from([1, 2, 3, 8]))
+    def test_matches_eagerly_filled_twin(self, data, d):
+        n = data.draw(st.integers(1, 30))
+        # n rows drawn from `distinct` rows, so fewer distinct rows than n
+        # give duplicates at every d.
+        distinct = data.draw(st.integers(1, n))
+        coords = data.draw(st.lists(st.integers(0, 6), min_size=distinct * d,
+                                    max_size=distinct * d))
+        rows = data.draw(st.lists(st.integers(0, distinct - 1), min_size=n, max_size=n))
+        ds = Dataset(np.array(coords, dtype=np.float64).reshape(distinct, d)[rows])
+        radius = data.draw(st.sampled_from([0.3, 0.7, 1.5, 4.0]))
+        seed = data.draw(st.integers(0, 2**31))
+        probe = lsh.build(ds, radius, c=5.0, seed=seed)
+        eager = lsh.build(ds, radius, c=5.0, seed=seed)
+        eager.fill()
+        assert not _filled(probe) and _filled(eager)
+        query = st.tuples(st.just("query"), st.integers(0, n - 1))
+        remove = st.tuples(st.just("remove"), st.lists(st.integers(0, n - 1), max_size=n))
+        other = st.tuples(st.sampled_from(["sweep", "tables"]), st.none())
+        ops = data.draw(st.lists(st.one_of(query, remove, other), max_size=25))
+        for op, arg in ops + [("sweep", None)]:
+            if op == "remove":
+                probe.remove_many(np.array(arg, dtype=np.int64))
+                eager.remove_many(np.array(arg, dtype=np.int64))
+            elif op == "tables":
+                assert len(probe.tables) == probe.num_tables and _filled(probe)
+            else:
+                for p in ([arg] if op == "query" else range(n)):
+                    budget_passed = probe.probe_checks > probe.num_tables * n
+                    got = probe.query(p)
+                    assert got.dtype == np.int64
+                    assert np.array_equal(got, eager.query(p))
+                    assert _filled(probe) or not budget_passed
+
+    def test_fills_once_the_probes_pass_the_budget(self):
+        ds = with_duplicates(300, 3, seed=8, dup_fraction=0.3)
+        probe = lsh.build(ds, 0.03, c=5.0, seed=3)
+        eager = lsh.build(ds, 0.03, c=5.0, seed=3)
+        eager.fill()
+        rng = np.random.default_rng(5)
+        probed = 0
+        for step in range(3 * ds.n):
+            if step % 50 == 49:
+                victims = rng.choice(ds.n, size=10, replace=False)
+                probe.remove_many(victims)
+                eager.remove_many(victims)
+            p = step % ds.n
+            probed += not _filled(probe)
+            assert np.array_equal(probe.query(p), eager.query(p))
+        # Filled mid-sequence, after removals, by the budget alone.
+        assert 50 < probed < 3 * ds.n
+        assert probe.probe_checks > probe.num_tables * ds.n and probe.entries_scanned > 0
+
+    def test_k10_run_fills_no_index_and_full_ordering_fills_removal_at_init(self):
+        n = 1024
+        ds = mixture_dataset(n, 8, 16, 0.05, seed=4)
+        scaled, info = normalize(ds, 5.0)
+        state = greedy.init(scaled, ClusterParams(k=10, seed=2), info, mode="lsh")
+        greedy.run(state, 10)
+        grid = [ix for ix in state.seq_indexes + state.rem_indexes
+                if isinstance(ix, lsh.NeighborhoodIndex)]
+        assert grid and all(ix.num_tables > 10 for ix in grid)
+        assert not any(_filled(ix) for ix in grid)
+        assert sum(ix.probe_checks for ix in grid) > 0
+
+        state = greedy.init(scaled, ClusterParams(k=n, seed=2), info, mode="lsh")
+        removal = [ix for ix in state.rem_indexes if isinstance(ix, lsh.NeighborhoodIndex)]
+        assert removal and all(_filled(ix) for ix in removal)
+        assert all(ix.num_tables <= n for ix in removal)
+
+
 class TestRadiusKind:
     def test_whole_set_boundary(self):
         diag, c = 12.0, 8.0

@@ -1,6 +1,7 @@
 """Distance, cost, normalization, radius schedule, and projection."""
 
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kzclust import metric
 from kzclust.metric import (
     ClusterParams,
     DataRangeError,
@@ -131,6 +133,14 @@ class TestExtremeMagnitudes:
             min_nonzero_distance(np.array([[0.0, 0.0], [1.0, 0.0], [1e200, 0.0]]))
         assert isinstance(exc.value, ValueError)
 
+    def test_least_gap_too_small_to_rescale_is_rejected(self):
+        # The gap 1e-310 is exact at the points' own exponent, but 1/1e-310
+        # overflows, so no float64 scale brings it up to 1.
+        with pytest.raises(DataRangeError, match="too small"):
+            normalize(Dataset(np.array([[0.0], [1e-310], [3e-310]])), 5.0)
+        scaled, _ = normalize(Dataset(np.array([[0.0], [2e-300], [5e-300]])), 5.0)
+        assert min_nonzero_distance(scaled.points) >= 1.0
+
     def test_huge_coordinates_on_the_kd_tree_path(self):
         pts = np.zeros((8200, 2))
         pts[:, 0] = np.arange(8200) * 1e160
@@ -203,6 +213,10 @@ def _assert_normalize_matches_reference(points: np.ndarray):
 
 class TestOnePassNormalize:
     """normalize's one KD-tree pass against the two-pass reference, bit for bit."""
+
+    def test_small_queries_run_on_one_worker(self):
+        assert metric._workers(metric._PARALLEL_MIN_COORDS - 1) == 1
+        assert metric._workers(metric._PARALLEL_MIN_COORDS) == len(os.sched_getaffinity(0))
 
     @settings(max_examples=120, deadline=None)
     @given(st.sampled_from(sorted(_POINT_FAMILIES)), st.integers(0, 2**31),
