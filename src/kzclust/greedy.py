@@ -95,18 +95,16 @@ class AvailableSet:
         last, since a removal sweep can clear long runs of the presort.
         """
         width = 64
-        while self._cursor < len(self._order):
-            window = self._order[self._cursor : self._cursor + width]
-            avail = self._avail[window]
-            first = int(avail.argmax())
-            if avail[first]:
-                flat = window[first]
-                self._avail[flat] = False
-                self._cursor += first + 1
-                return BallRef(int(flat % self.n), int(flat // self.n))
-            self._cursor += len(window)
+        while self._cursor < len(self._order) and not self._avail[self._order[self._cursor]]:
+            window = self._avail[self._order[self._cursor : self._cursor + width]]
+            self._cursor += int(window.argmax()) if window.any() else len(window)
             width *= 2
-        return None
+        if self._cursor == len(self._order):
+            return None
+        flat = self._order[self._cursor]
+        self._avail[flat] = False
+        self._cursor += 1
+        return BallRef(int(flat % self.n), int(flat // self.n))
 
 
 class GreedyState:

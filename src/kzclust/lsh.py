@@ -75,7 +75,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-
 from scipy.spatial import cKDTree
 
 from .metric import Dataset, dists_from
@@ -196,6 +195,19 @@ def _segment_positions(start: np.ndarray, length: np.ndarray) -> np.ndarray:
     pos = np.repeat(start - (np.cumsum(length) - length), length)
     pos += np.arange(len(pos))
     return pos
+
+
+def _sorted_unique(ids: np.ndarray) -> np.ndarray:
+    """np.unique of a 1-d int array, by one sort.
+
+    At query sizes (hundreds of ids) this took a fifth of np.unique's time
+    under NumPy 2.4.
+    """
+    ids = np.sort(ids)
+    keep = np.empty(len(ids), dtype=bool)
+    keep[:1] = True
+    np.not_equal(ids[1:], ids[:-1], out=keep[1:])
+    return ids[keep]
 
 
 # The probe checks its first candidates against 2 tables, then twice as many
@@ -335,7 +347,7 @@ class NeighborhoodIndex:
                 cand = cand[alive]
                 self._order[_segment_positions(start, kept)] = cand
                 self._live_end[bucket] = local_start + kept
-        return self._within_reach(np.unique(cand), point_id)
+        return self._within_reach(_sorted_unique(cand), point_id)
 
     def _within_reach(self, cand: np.ndarray, point_id: int) -> np.ndarray:
         """The candidates within c·R of the point, as int64."""
