@@ -42,12 +42,17 @@ value estimation takes maxima, so nothing reads it.
 build draws an index's tables (draw_tables) but fills no storage.  Its
 queries start as probes, which compute the queried point's and nearby
 points' keys table by table and give the filled tables' answer (see
-NeighborhoodIndex).  The index fills its storage once its probe work passes
-L·n checks, about the cost of the fill, or when its tables are read; by the
-ski-rental argument (Karlin, Manasse, Rudolph and Sleator, Algorithmica
-1988) it then spends at most about twice what the cheaper of never and
-always filling would have.  A run that sends an index a few queries never
-fills it.
+NeighborhoodIndex).  probe_checks charges each probe for all of its work
+in one unit, a candidate's key in one table: a fixed cost per probe
+(_PROBE_OVERHEAD, measured), every point of its KD-tree box, and the keys
+of the candidates and of the queried point in each table it reaches.  A
+fill costs about one unit per table entry, L·n in all.  The index fills
+its storage once its probe work passes L·n, or when its tables are read;
+by the ski-rental argument (Karlin, Manasse, Rudolph and Sleator,
+Algorithmica 1988) it then spends at most about twice what the cheaper of
+never and always filling would have.  A caller that knows how many queries
+it will send tells build, which fills at once when their fixed costs alone
+would pass L·n.  A run that sends an index a few queries never fills it.
 
 In "exact" mode there are no tables and a query scans the live points;
 both sides of the sandwich then hold deterministically (N = B(p, R) ∩ live).
@@ -61,8 +66,9 @@ whole set as one group, or the exact-duplicate groups -- and meet the
 sandwich with probability 1.
 
 Concurrency: the fill is pure per table, and a probe writes nothing but
-its index's probe_checks counter.  But any grid-index query may be the one
-that fills the storage, and on a removal index remove_many() marks ids dead
+its index's probe_checks counter and, on the dataset's first probe, the
+dataset's cached KD-tree (Dataset.tree).  But any grid-index query may be
+the one that fills the storage, and on a removal index remove_many() marks ids dead
 and a query that meets dead ids rewrites the prefixes of the buckets it
 read.  Calls on one grid index must therefore not run concurrently.  The
 degenerate sequence indexes' queries are read-only.
@@ -75,8 +81,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
-
 from .metric import Dataset, dists_from
 from .seeding import mix64_array
 
@@ -197,23 +201,15 @@ def _segment_positions(start: np.ndarray, length: np.ndarray) -> np.ndarray:
     return pos
 
 
-def _sorted_unique(ids: np.ndarray) -> np.ndarray:
-    """np.unique of a 1-d int array, by one sort.
-
-    At query sizes (hundreds of ids) this took a fifth of np.unique's time
-    under NumPy 2.4.
-    """
-    ids = np.sort(ids)
-    keep = np.empty(len(ids), dtype=bool)
-    keep[:1] = True
-    np.not_equal(ids[1:], ids[:-1], out=keep[1:])
-    return ids[keep]
-
-
 # The probe checks its first candidates against 2 tables, then twice as many
 # each round, with at most this many candidate coordinates per round.
 _PROBE_FIRST_TABLES = 2
 _PROBE_CHUNK = 1 << 18
+
+# A probe's fixed cost (the box query, the c·R filter and the NumPy calls of
+# each round), counted in checks.  On a 2-vCPU Xeon VM a probe took about
+# 140 us plus 140 ns per check, and the fill 110-140 ns per table entry.
+_PROBE_OVERHEAD = 1024
 
 
 class NeighborhoodIndex:
@@ -222,10 +218,12 @@ class NeighborhoodIndex:
     In lsh mode the index holds its L tables' shifts and key mixers from
     the start, but fills no table storage until that pays (fill).  Until
     then a query is a probe: the live points within w in every coordinate
-    (w the cell width, read from a Chebyshev KD-tree), then within c·R,
-    then those whose key (table_buckets) equals the queried point's in some
-    table.  Tables are checked in growing chunks, and a candidate drops out
-    at its first match.  probe_checks counts the candidate × table checks.
+    (w the cell width, read from the dataset's KD-tree with the Chebyshev
+    metric), then within c·R, then those whose key (table_buckets) equals
+    the queried point's in some table.  Tables are checked in growing
+    chunks, and a candidate drops out at its first match.  probe_checks
+    counts the probes' work in candidate × table checks (see the module
+    docstring).
     A probe gives the filled tables' answer: sharing a cell needs every
     coordinate within w, the keys are the same bits, and only a pair of
     distinct cells with one 64-bit key (about 2^-63 per pair) could be
@@ -244,7 +242,7 @@ class NeighborhoodIndex:
 
     def __init__(self, ds: Dataset, radius: float, c: float, mode: str,
                  cell_width: float = 0.0, shifts: np.ndarray | None = None,
-                 mixers: np.ndarray | None = None, tree: cKDTree | None = None):
+                 mixers: np.ndarray | None = None):
         self.ds = ds
         self.radius = float(radius)
         self.c = float(c)
@@ -255,7 +253,6 @@ class NeighborhoodIndex:
         self._cell_width = cell_width
         self._shifts = shifts
         self._mixers = mixers
-        self._tree = tree
         self._order: np.ndarray | None = None
         self._live_end: np.ndarray | None = None
         self._tables: list[GridTable] = []
@@ -315,8 +312,8 @@ class NeighborhoodIndex:
 
         The queried point may itself have been removed; it is then excluded
         like any other dead id.  An index whose probe work has passed L·n
-        fills its tables first (ski rental: the probes then cost at most
-        about as much as the fill).  On filled tables all L buckets of the
+        fills its tables first (ski rental: the probes then cost about as
+        much as the fill).  On filled tables all L buckets of the
         point are gathered in one step; on an index that holds dead ids,
         the query also compacts each bucket it read: the bucket's live ids
         move, in their order, to its front and its live end moves down, so
@@ -347,7 +344,7 @@ class NeighborhoodIndex:
                 cand = cand[alive]
                 self._order[_segment_positions(start, kept)] = cand
                 self._live_end[bucket] = local_start + kept
-        return self._within_reach(_sorted_unique(cand), point_id)
+        return self._within_reach(np.unique(cand), point_id)
 
     def _within_reach(self, cand: np.ndarray, point_id: int) -> np.ndarray:
         """The candidates within c·R of the point, as int64."""
@@ -361,27 +358,30 @@ class NeighborhoodIndex:
     def _probe(self, point_id: int) -> np.ndarray:
         """The tables' answer for a point, from its key in each table; ascending."""
         points = self.ds.points
-        if self._tree is None:
-            self._tree = cKDTree(points)
+        tree = self.ds.tree
         w = self._cell_width
         # Sharing a cell needs |x_i - y_i| < w in exact arithmetic.  The cell
         # step's rounding (shift, scale, floor) and the tree's differences
         # move that by a few ulps of the largest |coordinate| plus w at most,
         # far inside the slack.
-        top = max(np.abs(self._tree.mins).max(), np.abs(self._tree.maxes).max())
+        top = max(np.abs(tree.mins).max(), np.abs(tree.maxes).max())
         box = (w + 2.0**-48 * (top + w)) * (1.0 + 2.0**-48)
-        cand = np.asarray(self._tree.query_ball_point(points[point_id], box, p=np.inf),
+        near = np.asarray(tree.query_ball_point(points[point_id], box, p=np.inf),
                           dtype=np.int64)
-        rest = self._within_reach(cand[self.live[cand]], point_id)
-        home = _key_sums(points[point_id] + self._shifts, w, self._mixers, 1)
+        # The box query and the c·R filter read every point in the box once,
+        # dead ones included.
+        self.probe_checks += _PROBE_OVERHEAD + near.size
+        rest = self._within_reach(near[self.live[near]], point_id)
         found = [rest[:0]]
-        lo, step = 0, _PROBE_FIRST_TABLES
-        while rest.size and lo < len(home):
-            hi = min(len(home), lo + step, lo + max(1, _PROBE_CHUNK // (rest.size * self.ds.d)))
-            keys = _key_sums(points[rest][:, None, :] + self._shifts[lo:hi], w,
-                             self._mixers[lo:hi], 2)
-            self.probe_checks += rest.size * (hi - lo)
-            hit = (keys == home[lo:hi]).any(axis=1)
+        lo, step, ell = 0, _PROBE_FIRST_TABLES, self.num_tables
+        while rest.size and lo < ell:
+            hi = min(ell, lo + step, lo + max(1, _PROBE_CHUNK // (rest.size * self.ds.d)))
+            shifts, mixers = self._shifts[lo:hi], self._mixers[lo:hi]
+            home = _key_sums(points[point_id] + shifts, w, mixers, 1)
+            keys = _key_sums(points[rest][:, None, :] + shifts, w, mixers, 2)
+            # The queried point's keys cost as much as one candidate's.
+            self.probe_checks += (rest.size + 1) * (hi - lo)
+            hit = (keys == home).any(axis=1)
             found.append(rest[hit])
             rest = rest[~hit]
             lo, step = hi, 2 * step
@@ -396,13 +396,14 @@ class NeighborhoodIndex:
 
 def build(ds: Dataset, radius: float, c: float = 5.0, delta: float | None = None,
           seed: int = 0, mode: str = "lsh", num_levels: int = 1,
-          tree: cKDTree | None = None) -> NeighborhoodIndex:
-    """Construct a NeighborhoodIndex over the dataset; its tables start unfilled.
+          queries: int = 0) -> NeighborhoodIndex:
+    """Construct a NeighborhoodIndex over the dataset.
 
     delta defaults to 1/n^2 (clamped below 1).  Deterministic given seed.
-    tree, a cKDTree over ds.points, serves the probes and may be shared by
-    every index over the dataset; without one the index builds its own at
-    its first probe.
+    queries is how many queries the caller expects to send.  The tables
+    start unfilled unless those queries' fixed probe cost alone would pass
+    the fill budget (queries·_PROBE_OVERHEAD > L·n): probing could then
+    only add to the fill, so build fills at once.
     """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
@@ -411,7 +412,10 @@ def build(ds: Dataset, radius: float, c: float = 5.0, delta: float | None = None
     if mode == "exact":
         return NeighborhoodIndex(ds, radius, c, mode)
     cell_width, shifts, mixers = draw_tables(ds.n, ds.d, radius, c, delta, seed, num_levels)
-    return NeighborhoodIndex(ds, radius, c, mode, cell_width, shifts, mixers, tree)
+    index = NeighborhoodIndex(ds, radius, c, mode, cell_width, shifts, mixers)
+    if queries * _PROBE_OVERHEAD > index.num_tables * ds.n:
+        index.fill()
+    return index
 
 
 def radius_kind(radius: float, c: float, diag: float) -> str:

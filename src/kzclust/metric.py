@@ -11,7 +11,9 @@ they cover at least 2^16 coordinates, and on one below that; each point's
 answer is computed on its own, so results do not depend on the core count.
 
 All data is float64.  A Dataset is immutable after construction and every
-function here is pure, so concurrent use is safe.
+function here is pure, so concurrent use is safe; a Dataset's KD-tree is
+built at first use, and two threads that both ask first build two equal
+trees.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -61,6 +64,11 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.points.shape[1]
+
+    @cached_property
+    def tree(self) -> cKDTree:
+        """KD-tree over the points, built at first use and kept with the dataset."""
+        return cKDTree(self.points)
 
 
 @dataclass(frozen=True)

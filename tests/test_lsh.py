@@ -412,6 +412,9 @@ class TestProbeFirst:
         probe = lsh.build(ds, radius, c=5.0, seed=seed)
         eager = lsh.build(ds, radius, c=5.0, seed=seed)
         eager.fill()
+        # At these sizes the budget passes within a few queries, so a third
+        # twin is asked through _probe, which never fills.
+        never = lsh.build(ds, radius, c=5.0, seed=seed)
         assert not _filled(probe) and _filled(eager)
         query = st.tuples(st.just("query"), st.integers(0, n - 1))
         remove = st.tuples(st.just("remove"), st.lists(st.integers(0, n - 1), max_size=n))
@@ -419,8 +422,8 @@ class TestProbeFirst:
         ops = data.draw(st.lists(st.one_of(query, remove, other), max_size=25))
         for op, arg in ops + [("sweep", None)]:
             if op == "remove":
-                probe.remove_many(np.array(arg, dtype=np.int64))
-                eager.remove_many(np.array(arg, dtype=np.int64))
+                for index in (probe, eager, never):
+                    index.remove_many(np.array(arg, dtype=np.int64))
             elif op == "tables":
                 assert len(probe.tables) == probe.num_tables and _filled(probe)
             else:
@@ -428,27 +431,42 @@ class TestProbeFirst:
                     budget_passed = probe.probe_checks > probe.num_tables * n
                     got = probe.query(p)
                     assert got.dtype == np.int64
-                    assert np.array_equal(got, eager.query(p))
+                    want = eager.query(p)
+                    assert np.array_equal(got, want)
+                    assert np.array_equal(never._probe(p), want)
                     assert _filled(probe) or not budget_passed
+        assert not _filled(never)
 
     def test_fills_once_the_probes_pass_the_budget(self):
-        ds = with_duplicates(300, 3, seed=8, dup_fraction=0.3)
+        ds = with_duplicates(300, 8, seed=8, dup_fraction=0.3)
         probe = lsh.build(ds, 0.03, c=5.0, seed=3)
         eager = lsh.build(ds, 0.03, c=5.0, seed=3)
         eager.fill()
+        budget = probe.num_tables * ds.n
         rng = np.random.default_rng(5)
         probed = 0
         for step in range(3 * ds.n):
-            if step % 50 == 49:
-                victims = rng.choice(ds.n, size=10, replace=False)
+            if step % 10 == 9:
+                victims = rng.choice(ds.n, size=3, replace=False)
                 probe.remove_many(victims)
                 eager.remove_many(victims)
             p = step % ds.n
-            probed += not _filled(probe)
+            passed = probe.probe_checks > budget
+            probed += not passed
             assert np.array_equal(probe.query(p), eager.query(p))
-        # Filled mid-sequence, after removals, by the budget alone.
-        assert 50 < probed < 3 * ds.n
-        assert probe.probe_checks > probe.num_tables * ds.n and probe.entries_scanned > 0
+            assert _filled(probe) == passed
+        # Filled mid-sequence, after removals, by the budget alone; each of
+        # the probed queries was charged at least its fixed cost.
+        assert 10 < probed <= budget // lsh._PROBE_OVERHEAD + 1
+        assert probe.probe_checks > budget and probe.entries_scanned > 0
+
+    def test_build_fills_when_the_expected_queries_cannot_pay(self):
+        ds = with_duplicates(300, 8, seed=8, dup_fraction=0.3)
+        ell = lsh.build(ds, 0.03, c=5.0, seed=3).num_tables
+        enough = ell * ds.n // lsh._PROBE_OVERHEAD + 1
+        assert not _filled(lsh.build(ds, 0.03, c=5.0, seed=3, queries=enough - 1))
+        filled = lsh.build(ds, 0.03, c=5.0, seed=3, queries=enough)
+        assert _filled(filled) and filled.probe_checks == 0
 
     def test_k10_run_fills_no_index_and_full_ordering_fills_removal_at_init(self):
         n = 1024
@@ -458,14 +476,14 @@ class TestProbeFirst:
         greedy.run(state, 10)
         grid = [ix for ix in state.seq_indexes + state.rem_indexes
                 if isinstance(ix, lsh.NeighborhoodIndex)]
-        assert grid and all(ix.num_tables > 10 for ix in grid)
+        assert grid and all(10 * lsh._PROBE_OVERHEAD <= ix.num_tables * n for ix in grid)
         assert not any(_filled(ix) for ix in grid)
         assert sum(ix.probe_checks for ix in grid) > 0
 
         state = greedy.init(scaled, ClusterParams(k=n, seed=2), info, mode="lsh")
         removal = [ix for ix in state.rem_indexes if isinstance(ix, lsh.NeighborhoodIndex)]
         assert removal and all(_filled(ix) for ix in removal)
-        assert all(ix.num_tables <= n for ix in removal)
+        assert all(n * lsh._PROBE_OVERHEAD > ix.num_tables * n for ix in removal)
 
 
 class TestRadiusKind:
