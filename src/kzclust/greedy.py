@@ -158,7 +158,8 @@ def init(ds: Dataset, params: ClusterParams, info: ScaleInfo, mode: str = "lsh",
         values = counts.astype(np.float64) * (radii**params.z)[:, None]
 
         def index(radius: float, seed: int, queries: int = 0):
-            return lsh.build(ds, radius, c=params.c, delta=delta, seed=seed, mode="exact")
+            return lsh.build(ds, radius, c=params.c, delta=delta, seed=seed, mode="exact",
+                             queries=queries)
     else:
         diag = bbox_diagonal(ds.points)
         groups = lsh.degenerate_groups(ds.points)

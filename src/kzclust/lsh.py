@@ -68,10 +68,10 @@ sandwich with probability 1.
 Concurrency: the fill is pure per table, and a probe writes nothing but
 its index's probe_checks counter and, on the dataset's first probe, the
 dataset's cached KD-tree (Dataset.tree).  But any grid-index query may be
-the one that fills the storage, and on a removal index remove_many() marks ids dead
-and a query that meets dead ids rewrites the prefixes of the buckets it
-read.  Calls on one grid index must therefore not run concurrently.  The
-degenerate sequence indexes' queries are read-only.
+the one that fills the storage, and on a removal index remove_many()
+marks ids dead and a query that meets dead ids rewrites the prefixes of
+the buckets it read.  Calls on one grid index must therefore not run
+concurrently.  The degenerate sequence indexes' queries are read-only.
 """
 
 from __future__ import annotations
@@ -81,6 +81,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
 from .metric import Dataset, dists_from
 from .seeding import mix64_array
 
@@ -313,8 +314,8 @@ class NeighborhoodIndex:
         The queried point may itself have been removed; it is then excluded
         like any other dead id.  An index whose probe work has passed L·n
         fills its tables first (ski rental: the probes then cost about as
-        much as the fill).  On filled tables all L buckets of the
-        point are gathered in one step; on an index that holds dead ids,
+        much as the fill).  On filled tables all L buckets of the point
+        are gathered in one step; on an index that holds dead ids,
         the query also compacts each bucket it read: the bucket's live ids
         move, in their order, to its front and its live end moves down, so
         a dead id is read at most once per table.
