@@ -298,20 +298,14 @@ def _parse_eval_ks(spec: str | None, k: int) -> list[int]:
 
 
 def _make_params(args, n: int) -> ClusterParams:
-    if args.c < 5:
-        raise UsageError(
-            f"c={args.c} rejected: the algorithm's guarantees assume c >= 5"
-        )
-    if args.c == 5:
+    # ClusterParams checks k, z and c; main maps its ValueError to exit 2.
+    params = ClusterParams(k=args.k, z=args.z, c=args.c, seed=args.seed)
+    if params.c == 5:
         print("note: c=5 is the smallest supported trade-off value", file=sys.stderr)
-    if args.k < 1:
-        raise UsageError(f"k must be >= 1, got {args.k}")
-    if args.k > n:
-        raise UsageError(f"k={args.k} exceeds the dataset size n={n}")
-    if args.z < 1:
-        raise UsageError(f"z must be >= 1, got {args.z}")
+    if params.k > n:
+        raise UsageError(f"k={params.k} exceeds the dataset size n={n}")
     _check_delta(args.delta_failure)
-    return ClusterParams(k=args.k, z=args.z, c=args.c, seed=args.seed)
+    return params
 
 
 def _check_delta(delta: float | None) -> None:

@@ -134,16 +134,11 @@ def init(ds: Dataset, params: ClusterParams, info: ScaleInfo, mode: str = "lsh",
 
     Value estimation streams its grid tables one at a time
     (sketch.compute_values) and keeps none.  The retained grid indexes
-    start unfilled and probe until their queries pay for the fill
-    (lsh.build).  A removal index gets one query per iteration, so it is
-    built expecting params.k queries, and lsh.build fills it here when
-    those probes could not pay.  Left to the probe budget alone, the full
-    ordering of 1024 points at d=8 took 0.40 s to select instead of 0.31 s
-    (median of 10 alternating benchmark pairs, full-d8, 2-vCPU Xeon VM):
-    its removal indexes paid for about L·n of probes before filling
-    anyway.  params.k so decides only when tables are built, never what a
-    query returns, and the ordering stays independent of k.  delta, the
-    failure probability of the grid tables, defaults in lsh.draw_tables.
+    start unfilled and fill themselves once their probes pay for it
+    (lsh.NeighborhoodIndex.query).  init reads no k, so neither the state
+    nor the ordering depends on how many centers a run will take.  delta,
+    the failure probability of the grid tables, defaults in
+    lsh.draw_tables.
     """
     if mode not in ("exact", "lsh"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -157,9 +152,8 @@ def init(ds: Dataset, params: ClusterParams, info: ScaleInfo, mode: str = "lsh",
         counts = sketch.exact_counts(ds, radii)
         values = counts.astype(np.float64) * (radii**params.z)[:, None]
 
-        def index(radius: float, seed: int, queries: int = 0):
-            return lsh.build(ds, radius, c=params.c, delta=delta, seed=seed, mode="exact",
-                             queries=queries)
+        def index(radius: float, seed: int):
+            return lsh.build(ds, radius, c=params.c, delta=delta, seed=seed, mode="exact")
     else:
         diag = bbox_diagonal(ds.points)
         groups = lsh.degenerate_groups(ds.points)
@@ -176,11 +170,11 @@ def init(ds: Dataset, params: ClusterParams, info: ScaleInfo, mode: str = "lsh",
             else:
                 values[lvl] = sketch.group_estimates(groups[kind], seed) * radius**params.z
 
-        def index(radius: float, seed: int, queries: int = 0):
+        def index(radius: float, seed: int):
             kind = lsh.radius_kind(radius, params.c, diag)
             if kind == "grid":
                 return lsh.build(ds, radius, c=params.c, delta=delta, seed=seed, mode="lsh",
-                                 num_levels=info.num_levels, queries=queries)
+                                 num_levels=info.num_levels)
             return lsh.degenerate_index(kind, groups[kind])
 
     seq_indexes = []
@@ -188,8 +182,8 @@ def init(ds: Dataset, params: ClusterParams, info: ScaleInfo, mode: str = "lsh",
     for lvl in range(info.num_levels):
         radius = float(radii[lvl])
         seq_indexes.append(index(10.0 * params.c * radius, derive_seed(params.seed, "seq", lvl)))
-        rem_indexes.append(index(100.0 * params.c**4 * radius, derive_seed(params.seed, "rem", lvl),
-                                 queries=params.k))
+        rem_indexes.append(index(100.0 * params.c**4 * radius,
+                                 derive_seed(params.seed, "rem", lvl)))
 
     return GreedyState(ds, params, info, values, seq_indexes, rem_indexes)
 

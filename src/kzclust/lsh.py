@@ -50,9 +50,10 @@ fill costs about one unit per table entry, L·n in all.  The index fills
 its storage once its probe work passes L·n, or when its tables are read;
 by the ski-rental argument (Karlin, Manasse, Rudolph and Sleator,
 Algorithmica 1988) it then spends at most about twice what the cheaper of
-never and always filling would have.  A caller that knows how many queries
-it will send tells build, which fills at once when their fixed costs alone
-would pass L·n.  A run that sends an index a few queries never fills it.
+never and always filling would have.  An index with no live point left
+answers at once, with no probe and no fill, so a removal index whose
+points run out before its probe work passes L·n never fills, and a run
+that sends an index a few queries never fills it either.
 
 In "exact" mode there are no tables and a query scans the live points;
 both sides of the sandwich then hold deterministically (N = B(p, R) ∩ live).
@@ -249,6 +250,7 @@ class NeighborhoodIndex:
         self.c = float(c)
         self.mode = mode
         self.live = np.ones(ds.n, dtype=bool)
+        self.live_count = ds.n
         self.entries_scanned = 0
         self.probe_checks = 0
         self._cell_width = cell_width
@@ -312,7 +314,8 @@ class NeighborhoodIndex:
         """Live ids within the sandwich around the stored point, ascending.
 
         The queried point may itself have been removed; it is then excluded
-        like any other dead id.  An index whose probe work has passed L·n
+        like any other dead id.  An index with no live point returns at
+        once, in either mode.  An index whose probe work has passed L·n
         fills its tables first (ski rental: the probes then cost about as
         much as the fill).  On filled tables all L buckets of the point
         are gathered in one step; on an index that holds dead ids,
@@ -320,6 +323,8 @@ class NeighborhoodIndex:
         move, in their order, to its front and its live end moves down, so
         a dead id is read at most once per table.
         """
+        if self.live_count == 0:
+            return np.empty(0, dtype=np.int64)
         if self.mode == "exact":
             dr = dists_from(self.ds.points, point_id)
             return np.flatnonzero(self.live & (dr <= self.radius))
@@ -389,22 +394,29 @@ class NeighborhoodIndex:
         return np.sort(np.concatenate(found))
 
     def remove_many(self, point_ids: np.ndarray) -> None:
-        """Mark points dead; they never appear in later query results."""
-        self.live[point_ids] = False
-        if self._order is not None and self._live_end is None and len(point_ids):
+        """Mark points dead; they never appear in later query results.
+
+        Ids may repeat or be dead already; live_count drops by the number
+        of distinct ids this call kills.
+        """
+        ids = np.asarray(point_ids, dtype=np.int64)
+        ids = ids[self.live[ids]]
+        if ids.size == 0:
+            return
+        killed = np.unique(ids)
+        self.live[killed] = False
+        self.live_count -= killed.size
+        if self._order is not None and self._live_end is None:
             self._live_end = self._offsets[1:].copy()
 
 
 def build(ds: Dataset, radius: float, c: float = 5.0, delta: float | None = None,
-          seed: int = 0, mode: str = "lsh", num_levels: int = 1,
-          queries: int = 0) -> NeighborhoodIndex:
+          seed: int = 0, mode: str = "lsh", num_levels: int = 1) -> NeighborhoodIndex:
     """Construct a NeighborhoodIndex over the dataset.
 
     delta defaults to 1/n^2 (clamped below 1).  Deterministic given seed.
-    queries is how many queries the caller expects to send.  The tables
-    start unfilled unless those queries' fixed probe cost alone would pass
-    the fill budget (queries·_PROBE_OVERHEAD > L·n): probing could then
-    only add to the fill, so build fills at once.
+    The tables start unfilled; the index fills them itself when its probes
+    have paid for that (NeighborhoodIndex.query).
     """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
@@ -413,10 +425,7 @@ def build(ds: Dataset, radius: float, c: float = 5.0, delta: float | None = None
     if mode == "exact":
         return NeighborhoodIndex(ds, radius, c, mode)
     cell_width, shifts, mixers = draw_tables(ds.n, ds.d, radius, c, delta, seed, num_levels)
-    index = NeighborhoodIndex(ds, radius, c, mode, cell_width, shifts, mixers)
-    if queries * _PROBE_OVERHEAD > index.num_tables * ds.n:
-        index.fill()
-    return index
+    return NeighborhoodIndex(ds, radius, c, mode, cell_width, shifts, mixers)
 
 
 def radius_kind(radius: float, c: float, diag: float) -> str:

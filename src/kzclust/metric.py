@@ -81,14 +81,15 @@ class ClusterParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1:
+        # Written as "not (valid)" so that NaN, which fails every comparison,
+        # is rejected too.
+        if not self.k >= 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.z < 1:
-            raise ValueError(f"z must be >= 1, got {self.z}")
-        if self.c < 5:
-            raise ValueError(
-                f"c must be >= 5, got {self.c}; the approximation guarantees assume c >= 5"
-            )
+        if not (self.z >= 1 and math.isfinite(self.z)):
+            raise ValueError(f"z must be finite and >= 1, got {self.z}")
+        if not (self.c >= 5 and math.isfinite(self.c)):
+            raise ValueError(f"c must be finite and >= 5, got {self.c}; "
+                             "the approximation guarantees assume c >= 5")
 
 
 @dataclass(frozen=True)

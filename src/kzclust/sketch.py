@@ -56,11 +56,9 @@ def rank_matrix(ids: np.ndarray, copies: int, seed: int) -> np.ndarray:
     ).reshape(1, -1)
     h = mix64_array((ids + np.uint64(1)) * np.uint64(GOLDEN) ^ copy_seeds)
     lowbit = h & (np.bitwise_not(h) + np.uint64(1))
-    ranks = np.empty(h.shape, dtype=np.int8)
-    zero = lowbit == 0
-    with np.errstate(divide="ignore"):
-        ranks[:] = np.where(zero, 64, np.log2(lowbit.astype(np.float64))).astype(np.int8)
-    return ranks
+    # lowbit - 1 sets exactly the bits below the lowest set bit; a zero hash
+    # wraps to all 64 bits set, which is its rank 64.
+    return np.bitwise_count(lowbit - np.uint64(1)).astype(np.int8)
 
 
 def _median_estimate(registers: np.ndarray) -> np.ndarray | float:

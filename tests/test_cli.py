@@ -164,6 +164,16 @@ class TestCluster:
         assert run_cli("cluster", str(p), "--k", "2", "--c", "4.5") == 2
         assert "c >= 5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--z", "nan"), ("--z", "inf"),
+                                             ("--c", "nan"), ("--c", "inf")])
+    def test_non_finite_parameter_is_usage_error(self, tmp_path, capsys, flag, value):
+        p, _ = write_instance(tmp_path)
+        out = tmp_path / "r.json"
+        assert run_cli("cluster", str(p), "--k", "2", flag, value, "--out", str(out)) == 2
+        errors = error_lines(capsys.readouterr().err)
+        assert len(errors) == 1 and errors[0].startswith(f"error: {flag[2:]} must be")
+        assert not out.exists()
+
     def test_unknown_mode_is_usage_error(self, tmp_path):
         p, _ = write_instance(tmp_path)
         with pytest.raises(SystemExit) as exc:

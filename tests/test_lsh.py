@@ -434,7 +434,8 @@ class TestProbeFirst:
                     want = eager.query(p)
                     assert np.array_equal(got, want)
                     assert np.array_equal(never._probe(p), want)
-                    assert _filled(probe) or not budget_passed
+                    # An index with no live point answers without filling.
+                    assert _filled(probe) or not budget_passed or probe.live_count == 0
         assert not _filled(never)
 
     def test_fills_once_the_probes_pass_the_budget(self):
@@ -460,30 +461,56 @@ class TestProbeFirst:
         assert 10 < probed <= budget // lsh._PROBE_OVERHEAD + 1
         assert probe.probe_checks > budget and probe.entries_scanned > 0
 
-    def test_build_fills_when_the_expected_queries_cannot_pay(self):
+    @pytest.mark.parametrize("mode", ["lsh", "exact"])
+    @pytest.mark.parametrize("filled", [False, True])
+    def test_emptied_index_answers_at_once(self, mode, filled):
         ds = with_duplicates(300, 8, seed=8, dup_fraction=0.3)
-        ell = lsh.build(ds, 0.03, c=5.0, seed=3).num_tables
-        enough = ell * ds.n // lsh._PROBE_OVERHEAD + 1
-        assert not _filled(lsh.build(ds, 0.03, c=5.0, seed=3, queries=enough - 1))
-        filled = lsh.build(ds, 0.03, c=5.0, seed=3, queries=enough)
-        assert _filled(filled) and filled.probe_checks == 0
+        idx = lsh.build(ds, 0.03, c=5.0, seed=3, mode=mode)
+        if filled:
+            idx.fill()
+        rng = np.random.default_rng(1)
+        dead = np.empty(0, dtype=np.int64)
+        for chunk in np.array_split(rng.permutation(ds.n), 7):
+            # Repeats within the call and ids killed by an earlier call.
+            idx.remove_many(np.concatenate([chunk, chunk[:3], dead[:5], chunk[:1]]))
+            dead = np.concatenate([dead, chunk])
+            assert idx.live_count == ds.n - len(dead) == np.count_nonzero(idx.live)
+        idx.remove_many(np.array([], dtype=np.int64))
+        assert idx.live_count == 0
+        checks, scanned = idx.probe_checks, idx.entries_scanned
+        for p in range(ds.n):
+            got = idx.query(p)
+            assert got.dtype == np.int64 and got.size == 0
+        assert idx.probe_checks == checks and idx.entries_scanned == scanned
+        assert _filled(idx) == (filled and mode == "lsh")
 
-    def test_k10_run_fills_no_index_and_full_ordering_fills_removal_at_init(self):
+    def test_init_fills_no_index_at_any_k_and_an_exhausted_removal_index_never_fills(self):
         n = 1024
         ds = mixture_dataset(n, 8, 16, 0.05, seed=4)
         scaled, info = normalize(ds, 5.0)
-        state = greedy.init(scaled, ClusterParams(k=10, seed=2), info, mode="lsh")
-        greedy.run(state, 10)
-        grid = [ix for ix in state.seq_indexes + state.rem_indexes
+        short, full = (greedy.init(scaled, ClusterParams(k=k, seed=2), info, mode="lsh")
+                       for k in (10, n))
+        assert np.array_equal(short.values, full.values)
+        for state in (short, full):
+            grid = [ix for ix in state.seq_indexes + state.rem_indexes
+                    if isinstance(ix, lsh.NeighborhoodIndex)]
+            assert grid and not any(_filled(ix) for ix in grid)
+
+        first = greedy.run(short, 10)
+        grid = [ix for ix in short.seq_indexes + short.rem_indexes
                 if isinstance(ix, lsh.NeighborhoodIndex)]
-        assert grid and all(10 * lsh._PROBE_OVERHEAD <= ix.num_tables * n for ix in grid)
+        assert all(10 * lsh._PROBE_OVERHEAD <= ix.num_tables * n for ix in grid)
         assert not any(_filled(ix) for ix in grid)
         assert sum(ix.probe_checks for ix in grid) > 0
 
-        state = greedy.init(scaled, ClusterParams(k=n, seed=2), info, mode="lsh")
-        removal = [ix for ix in state.rem_indexes if isinstance(ix, lsh.NeighborhoodIndex)]
-        assert removal and all(_filled(ix) for ix in removal)
-        assert all(n * lsh._PROBE_OVERHEAD > ix.num_tables * n for ix in removal)
+        assert greedy.run_incremental(full).centers[:10] == first.centers
+        removal = [ix for ix in full.rem_indexes if isinstance(ix, lsh.NeighborhoodIndex)]
+        # Ran out of live points before its probes paid for a fill; a
+        # further probe per remaining center would have passed L·n.
+        exhausted = [ix for ix in removal
+                     if ix.live_count == 0 and ix.probe_checks <= ix.num_tables * n]
+        assert exhausted and not any(_filled(ix) for ix in exhausted)
+        assert all(n * lsh._PROBE_OVERHEAD > ix.num_tables * n for ix in exhausted)
 
 
 class TestRadiusKind:
