@@ -353,10 +353,8 @@ class TestValidation:
             ClusterParams(k=1, z=0.5)
         with pytest.raises(ValueError):
             ClusterParams(k=1, c=4.0)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_params_reject_non_finite_z_and_c(self, bad):
-        with pytest.raises(ValueError, match="z must be"):
-            ClusterParams(k=1, z=bad)
-        with pytest.raises(ValueError, match="c must be"):
-            ClusterParams(k=1, c=bad)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="z must be"):
+                ClusterParams(k=1, z=bad)
+            with pytest.raises(ValueError, match="c must be"):
+                ClusterParams(k=1, c=bad)
