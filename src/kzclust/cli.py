@@ -137,8 +137,8 @@ def generate_mixture(n: int, d: int, clusters: int, spread: float, seed: int) ->
         raise UsageError(f"d must be >= 1, got {d}")
     if clusters < 1:
         raise UsageError(f"clusters must be >= 1, got {clusters}")
-    if spread < 0:
-        raise UsageError(f"spread must be >= 0, got {spread}")
+    if not (spread >= 0 and math.isfinite(spread)):
+        raise UsageError(f"spread must be finite and >= 0, got {spread}")
     rng = np.random.default_rng(seed)
     means = rng.uniform(0.0, 1.0, size=(clusters, d))
     assign = rng.integers(0, clusters, size=n)
@@ -314,6 +314,8 @@ def _check_delta(delta: float | None) -> None:
 
 
 def _cmd_cluster(args) -> int:
+    if args.no_project and args.project_dim is not None:
+        raise UsageError("--project-dim and --no-project conflict; give at most one")
     ds = ingest(args.input, args.format)
     params = _make_params(args, ds.n)
     eval_ks = _parse_eval_ks(args.eval_k, args.k)

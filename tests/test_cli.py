@@ -105,6 +105,16 @@ class TestGen:
         ds = cli.ingest(str(out))
         assert np.all(ds.points == ds.points[0])
 
+    @pytest.mark.parametrize("command", ["gen", "bench"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_spread_is_usage_error(self, tmp_path, capsys, command, value):
+        out = tmp_path / "out"
+        sizes = ["--n", "8", "--d", "2"] if command == "gen" else ["--sizes", "64"]
+        assert run_cli(command, *sizes, "--spread", value, "--out", str(out)) == 2
+        errors = error_lines(capsys.readouterr().err)
+        assert len(errors) == 1 and "spread" in errors[0]
+        assert not out.exists()
+
     def test_round_trip_declared_shape(self, tmp_path):
         out = tmp_path / "mix.f32"
         assert run_cli("gen", "--n", "33", "--d", "5", "--format", "f32le",
@@ -312,6 +322,16 @@ class TestProjection:
         assert run_cli("cluster", str(p), "--k", "4", "--mode", "lsh", "--no-project") == 2
         errors = error_lines(capsys.readouterr().err)
         assert len(errors) == 1 and "project the data" in errors[0]
+
+    @pytest.mark.parametrize("mode", ["lsh", "exact"])
+    def test_conflicting_projection_flags_are_usage_error(self, tmp_path, capsys, mode):
+        p, _ = write_instance(tmp_path, n=200, d=30, seed=3)
+        out = tmp_path / "r.json"
+        assert run_cli("cluster", str(p), "--k", "4", "--mode", mode, "--project-dim", "3",
+                       "--no-project", "--out", str(out)) == 2
+        errors = error_lines(capsys.readouterr().err)
+        assert len(errors) == 1 and "--project-dim" in errors[0] and "--no-project" in errors[0]
+        assert not out.exists()
 
     def test_too_wide_a_range_is_data_error(self, tmp_path, capsys):
         rows = np.zeros((3, 30))
