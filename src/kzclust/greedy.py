@@ -195,15 +195,16 @@ def descend(state: GreedyState, head: BallRef) -> tuple[int, list[BallRef]]:
     current point at radius 10c·R -- unfiltered by availability -- and the
     next ball is the candidate maximizing the value one level down, ties to
     the smallest point id.  The current point always collides with itself,
-    so the candidate set is never empty.
+    so the candidate set is never empty, and a lone candidate is the point.
     """
     trace = [head]
     point, level = head.point, head.level
     last = state.num_levels - 1
     while level < last:
         candidates = state.seq_indexes[level].query(point)
-        vals = state.values[level + 1, candidates]
-        point = int(candidates[np.lexsort((candidates, -vals))[0]])
+        if candidates.size > 1:
+            vals = state.values[level + 1, candidates]
+            point = int(candidates[np.lexsort((candidates, -vals))[0]])
         level += 1
         trace.append(BallRef(point, level))
     return point, trace
@@ -219,8 +220,9 @@ def remove_around(state: GreedyState, center_id: int) -> None:
     for lvl in range(state.num_levels):
         index = state.rem_indexes[lvl]
         hit = index.query(center_id)
-        state.avail.clear_many(hit, lvl)
-        index.remove_many(hit)
+        if hit.size:
+            state.avail.clear_many(hit, lvl)
+            index.remove_many(hit)
 
 
 def run(state: GreedyState, k: int) -> Solution:

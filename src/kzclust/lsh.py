@@ -53,7 +53,10 @@ Algorithmica 1988) it then spends at most about twice what the cheaper of
 never and always filling would have.  An index with no live point left
 answers at once, with no probe and no fill, so a removal index whose
 points run out before its probe work passes L·n never fills, and a run
-that sends an index a few queries never fills it either.
+that sends an index a few queries never fills it either.  The fill also
+marks each point that no table puts with another point; a filled query
+for such a point answers [p] (or nothing once p is dead) and reads no
+entry, as nearly every filled removal query of a full ordering does.
 
 In "exact" mode there are no tables and a query scans the live points;
 both sides of the sandwich then hold deterministically (N = B(p, R) ∩ live).
@@ -266,7 +269,7 @@ class NeighborhoodIndex(_LiveSet):
     t is order[t, offsets[g]:offsets[g+1]] with g = bucket_base[t] + b.
     From the first filled query after a removal, a per-bucket live end
     replaces offsets[g+1] as the bucket's end.  entries_scanned counts only
-    reads of the filled tables.
+    the entries that filled queries gather from the tables.
     """
 
     def __init__(self, ds: Dataset, radius: float, c: float, mode: str,
@@ -307,11 +310,18 @@ class NeighborhoodIndex(_LiveSet):
         # the offsets' peak memory.
         offsets = np.empty(ell * (n + 1), dtype=np.int32)
         bucket_base = np.empty(ell, dtype=np.int64)
+        alone = np.ones(n, dtype=bool)
+        single = np.empty(n, dtype=bool)
         points_t = np.ascontiguousarray(self.ds.points.T)
         used = 0
         for t in range(ell):
             sort, first = table_buckets(points_t, self._cell_width, self._shifts[t],
                                         self._mixers[t])
+            # Position i holds a bucket of one if it and position i + 1 start buckets.
+            single[:-1] = first[1:]
+            single[-1] = True
+            single &= first
+            alone[sort] &= single
             starts = np.flatnonzero(first)
             bucket_base[t] = used
             offsets[used : used + len(starts)] = starts
@@ -326,6 +336,7 @@ class NeighborhoodIndex(_LiveSet):
         self._offsets = offsets
         self._bucket_base = bucket_base
         self._row_base = np.arange(ell, dtype=np.int64) * n
+        self._alone = alone
         bounds = np.append(bucket_base, len(offsets))
         self._tables = [
             GridTable(self._shifts[t], self._cell_width, point_bucket[t], order[t],
@@ -340,11 +351,14 @@ class NeighborhoodIndex(_LiveSet):
         like any other dead id.  An index with no live point returns at
         once, in either mode.  An index whose probe work has passed L·n
         fills its tables first (ski rental: the probes then cost about as
-        much as the fill).  On filled tables all L buckets of the point
-        are gathered in one step; on an index that holds dead ids,
-        the query also compacts each bucket it read: the bucket's live ids
-        move, in their order, to its front and its live end moves down, so
-        a dead id is read at most once per table.
+        much as the fill).  A point alone in all its L buckets answers
+        itself if live and nothing if dead, reading no entry: no other
+        query reads its buckets, so they need no compaction.  Otherwise
+        all L buckets of the point are gathered in one step, and each
+        entry gathered counts in entries_scanned; on an index that holds
+        dead ids, the query also compacts each bucket it read: the
+        bucket's live ids move, in their order, to its front and its live
+        end moves down, so a dead id is read at most once per table.
         """
         if self.live_count == 0:
             return np.empty(0, dtype=np.int64)
@@ -355,6 +369,8 @@ class NeighborhoodIndex(_LiveSet):
             self.fill()
         if self._order is None:
             return self._probe(point_id)
+        if self._alone[point_id]:
+            return np.array([point_id] if self.live[point_id] else [], dtype=np.int64)
         if self._live_end is None and self.live_count < self.ds.n:
             self._live_end = self._offsets[1:].copy()
         bucket = self._bucket_base + self._point_bucket[:, point_id]

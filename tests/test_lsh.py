@@ -498,6 +498,25 @@ class TestProbeFirst:
         if isinstance(idx, lsh.NeighborhoodIndex):
             assert _filled(idx) == (filled and mode == "lsh")
 
+    def test_point_alone_in_all_its_buckets_reads_none(self):
+        # Points 0 and 1 are duplicates and share every bucket; point 3 is
+        # far from all others, so no table puts another point with it.
+        ds = Dataset(np.array([[0.0, 0.0], [0.0, 0.0], [0.01, 0.0], [5.0, 5.0]]))
+        idx = lsh.build(ds, 0.03, c=5.0, seed=3)
+        idx.fill()
+        scanned = idx.entries_scanned
+        got = idx.query(3)
+        assert got.dtype == np.int64 and got.tolist() == [3]
+        idx.remove_many(np.array([3]))
+        got = idx.query(3)
+        assert got.dtype == np.int64 and got.size == 0
+        assert idx.entries_scanned == scanned
+        got = idx.query(0)
+        assert {0, 1} <= set(got.tolist())
+        sizes = sum(int(np.diff(t.offsets)[t.point_bucket[0]]) for t in idx.tables)
+        assert sizes >= 2 * idx.num_tables
+        assert idx.entries_scanned == scanned + sizes
+
     def test_init_fills_no_index_at_any_k_and_an_exhausted_removal_index_never_fills(self):
         n = 1024
         ds = mixture_dataset(n, 8, 16, 0.05, seed=4)
