@@ -311,17 +311,13 @@ class NeighborhoodIndex(_LiveSet):
         offsets = np.empty(ell * (n + 1), dtype=np.int32)
         bucket_base = np.empty(ell, dtype=np.int64)
         alone = np.ones(n, dtype=bool)
-        single = np.empty(n, dtype=bool)
         points_t = np.ascontiguousarray(self.ds.points.T)
         used = 0
         for t in range(ell):
             sort, first = table_buckets(points_t, self._cell_width, self._shifts[t],
                                         self._mixers[t])
             # Position i holds a bucket of one if it and position i + 1 start buckets.
-            single[:-1] = first[1:]
-            single[-1] = True
-            single &= first
-            alone[sort] &= single
+            alone[sort] &= first & np.append(first[1:], True)
             starts = np.flatnonzero(first)
             bucket_base[t] = used
             offsets[used : used + len(starts)] = starts
