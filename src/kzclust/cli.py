@@ -8,7 +8,7 @@ Subcommands:
     eval     recompute prefix costs for a report against its dataset
     bench    run cluster over doubling sizes and fit the log-log slope
 
-Exit codes: 0 success, 2 usage error, 3 data error.
+Exit codes: 0 success, 1 eval mismatch, 2 usage error, 3 data error.
 """
 
 from __future__ import annotations
@@ -50,27 +50,30 @@ def _infer_format(path: str) -> str:
 def _parse_csv(path: str) -> Dataset:
     rows: list[list[float]] = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.replace(",", " ").split()
-            if width is None:
-                width = len(fields)
-            elif len(fields) != width:
-                raise DataError(
-                    f"{path}: line {lineno}: ragged row, expected {width} fields, got {len(fields)}"
-                )
-            try:
-                row = [float(tok) for tok in fields]
-            except ValueError:
-                bad = next(tok for tok in fields if not _is_float(tok))
-                raise DataError(f"{path}: line {lineno}: non-numeric field {bad!r}") from None
-            if not all(math.isfinite(x) for x in row):
-                bad = next(tok for tok, x in zip(fields, row) if not math.isfinite(x))
-                raise DataError(f"{path}: line {lineno}: non-finite field {bad!r}")
-            rows.append(row)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.replace(",", " ").split()
+        if width is None:
+            width = len(fields)
+        elif len(fields) != width:
+            raise DataError(
+                f"{path}: line {lineno}: ragged row, expected {width} fields, got {len(fields)}"
+            )
+        try:
+            row = [float(tok) for tok in fields]
+        except ValueError:
+            bad = next(tok for tok in fields if not _is_float(tok))
+            raise DataError(f"{path}: line {lineno}: non-numeric field {bad!r}") from None
+        if not all(math.isfinite(x) for x in row):
+            bad = next(tok for tok, x in zip(fields, row) if not math.isfinite(x))
+            raise DataError(f"{path}: line {lineno}: non-finite field {bad!r}")
+        rows.append(row)
     if not rows:
         raise DataError(f"{path}: empty dataset")
     return Dataset(np.array(rows, dtype=np.float64))
@@ -93,13 +96,13 @@ def _parse_f32le(path: str) -> Dataset:
         raise DataError(f"{path}: empty dataset")
     if d == 0:
         raise DataError(f"{path}: zero dimension")
-    expected = 8 + 4 * n * d
-    if len(blob) < expected:
+    expected, got = 4 * n * d, len(blob) - 8
+    if got != expected:
         raise DataError(
-            f"{path}: truncated binary payload, expected {expected} bytes, "
-            f"got {len(blob)} (short at offset {len(blob)})"
+            f"{path}: {'truncated' if got < expected else 'oversized'} binary payload, "
+            f"expected 4·n·d = {expected} bytes after the header, got {got}"
         )
-    points = np.frombuffer(blob[8:expected], dtype="<f4").astype(np.float64).reshape(n, d)
+    points = np.frombuffer(blob[8:], dtype="<f4").astype(np.float64).reshape(n, d)
     bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
     if bad.size:
         raise DataError(f"{path}: point {bad[0]}: non-finite coordinate")
@@ -394,6 +397,8 @@ def _cmd_bench(args) -> int:
         raise UsageError(f"bad --sizes list {args.sizes!r}") from None
     if not sizes or any(s < 1 for s in sizes):
         raise UsageError("--sizes must be positive integers")
+    if len(set(sizes)) < len(sizes):
+        raise UsageError(f"--sizes {args.sizes!r} repeats a size; the slope needs distinct ones")
     _check_delta(args.delta_failure)
     result = run_bench(sizes, args.d, args.k, args.z, args.c, args.seed,
                        args.clusters, args.spread, args.mode, args.delta_failure)

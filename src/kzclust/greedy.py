@@ -3,12 +3,13 @@
 Preprocessing values every ball B(p, radius_at(level)) over all points p and
 all levels, then builds, per level, a "sequence" neighborhood index at radius
 10c·R (never mutated) and a "removal" index at radius 100c^4·R (points are
-deleted from it as centers claim them).  In lsh mode each of these radii is
-classified once by lsh.radius_kind: a grid radius gets bucket-sketch values
-and a grid-LSH index, which fills its tables only when its queries pay for
-them; a degenerate one (whole set or duplicate groups) gets group estimates
-and a table-free index, both exact about which points the ball holds.
-Exact mode counts and scans instead.
+deleted from it as centers claim them).  Each of these radii is classified
+once by lsh.radius_kind.  A degenerate one (whole set or duplicate groups)
+gets a table-free index in both modes, exact about which points the ball
+holds.  A grid radius gets a grid-LSH index in lsh mode, which fills its
+tables only when its queries pay for them, and a scanning index in exact
+mode.  lsh mode values grid levels with bucket sketches and degenerate
+levels with group estimates; exact mode counts every ball.
 
 Each iteration pops the available ball with the largest value, walks it down
 one level at a time -- always moving to the neighbor whose next-level ball
@@ -132,13 +133,15 @@ def init(ds: Dataset, params: ClusterParams, info: ScaleInfo, mode: str = "lsh",
          delta: float | None = None) -> GreedyState:
     """Preprocess a normalized dataset: values, availability, index families.
 
-    Value estimation streams its grid tables one at a time
-    (sketch.compute_values) and keeps none.  The retained grid indexes
-    start unfilled and fill themselves once their probes pay for it
-    (lsh.NeighborhoodIndex.query).  init reads no k, so neither the state
-    nor the ordering depends on how many centers a run will take.  delta,
-    the failure probability of the grid tables, defaults in
-    lsh.draw_tables.
+    In lsh mode value estimation streams its grid tables one at a time
+    (sketch.compute_values) and keeps none; exact mode counts the balls.
+    One recipe builds every index in both modes: a degenerate radius gets
+    lsh.degenerate_index, and a grid radius lsh.build in the run's mode.
+    The retained lsh grid indexes start unfilled and fill themselves once
+    their probes pay for it (lsh.NeighborhoodIndex.query).  init reads no
+    k, so neither the state nor the ordering depends on how many centers a
+    run will take.  delta, the failure probability of the grid tables,
+    defaults in lsh.draw_tables.
     """
     if mode not in ("exact", "lsh"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -148,15 +151,12 @@ def init(ds: Dataset, params: ClusterParams, info: ScaleInfo, mode: str = "lsh",
         raise ValueError(f"ball values n·R^z exceed the float range at z={params.z}; "
                          "use a smaller z")
 
+    diag = bbox_diagonal(ds.points)
+    groups = lsh.degenerate_groups(ds.points)
     if mode == "exact":
         counts = sketch.exact_counts(ds, radii)
         values = counts.astype(np.float64) * (radii**params.z)[:, None]
-
-        def index(radius: float, seed: int):
-            return lsh.build(ds, radius, c=params.c, delta=delta, seed=seed, mode="exact")
     else:
-        diag = bbox_diagonal(ds.points)
-        groups = lsh.degenerate_groups(ds.points)
         values = np.empty((info.num_levels, n), dtype=np.float64)
         for lvl in range(info.num_levels):
             radius = float(radii[lvl])
@@ -170,12 +170,12 @@ def init(ds: Dataset, params: ClusterParams, info: ScaleInfo, mode: str = "lsh",
             else:
                 values[lvl] = sketch.group_estimates(groups[kind], seed) * radius**params.z
 
-        def index(radius: float, seed: int):
-            kind = lsh.radius_kind(radius, params.c, diag)
-            if kind == "grid":
-                return lsh.build(ds, radius, c=params.c, delta=delta, seed=seed, mode="lsh",
-                                 num_levels=info.num_levels)
-            return lsh.degenerate_index(kind, groups[kind])
+    def index(radius: float, seed: int):
+        kind = lsh.radius_kind(radius, params.c, diag)
+        if kind == "grid":
+            return lsh.build(ds, radius, c=params.c, delta=delta, seed=seed, mode=mode,
+                             num_levels=info.num_levels)
+        return lsh.degenerate_index(kind, groups[kind])
 
     seq_indexes = []
     rem_indexes = []

@@ -37,7 +37,8 @@ distance at most R in the same cell:
 A table buckets the points by a 64-bit mixed key of their cell
 (table_buckets) and numbers its buckets in key order.  The order of ids
 inside a bucket is unspecified: queries deduplicate their candidates and
-value estimation takes maxima, so nothing reads it.
+value estimation takes maxima, so nothing reads it.  A filled index
+keeps its L tables as one CSR partition of a flat L·n id array.
 
 build draws an index's tables (draw_tables) but fills no storage.  Its
 queries start as probes, which compute the queried point's and nearby
@@ -58,8 +59,8 @@ marks each point that no table puts with another point; a filled query
 for such a point answers [p] (or nothing once p is dead) and reads no
 entry, as nearly every filled removal query of a full ordering does.
 
-In "exact" mode there are no tables and a query scans the live points;
-both sides of the sandwich then hold deterministically (N = B(p, R) ∩ live).
+In "exact" mode there are no tables and a query scans the live points, so
+N = B(p, R) ∩ live; greedy.init builds such an index only at grid radii.
 
 On normalized data (distinct points at least 1 apart) two kinds of radius
 need no tables at all, and radius_kind is the one place that tells them
@@ -67,8 +68,9 @@ apart: a radius at least the bounding-box diagonal ("all") puts every point
 in B(p, R), and one with c·R < 1 ("dup") puts only p's duplicates in
 B(p, c·R).  Their indexes answer from a DuplicateGroups partition -- the
 whole set as one group, or the exact-duplicate groups -- and meet the
-sandwich with probability 1.  Every index kind keeps one removal state
-(_LiveSet) and answers at once when no point is live.
+sandwich with probability 1; their answers are the exact scan's, in
+either mode.  Every index kind keeps one removal state (_LiveSet) and
+answers at once when no point is live.
 
 Concurrency: the fill is pure per table, and a probe writes nothing but
 its index's probe_checks counter and, on the dataset's first probe, the
@@ -132,8 +134,9 @@ class GridTable:
     """One randomly shifted uniform grid over the point set.
 
     Lookup is by point id: point_bucket[p] indexes into (offsets, order),
-    where order holds point ids grouped by occupied cell.  The three arrays
-    are views into the owning index's stacked storage.
+    where order holds point ids grouped by occupied cell.  The three int32
+    arrays are copies of the owning index's flat storage made when its
+    tables are read, in this table's own bucket numbering.
     """
 
     shift: np.ndarray
@@ -249,44 +252,40 @@ class _LiveSet:
 class NeighborhoodIndex(_LiveSet):
     """Radius-R neighborhood structure over a fixed dataset; supports removal.
 
-    In lsh mode the index holds its L tables' shifts and key mixers from
-    the start, but fills no table storage until that pays (fill).  Until
-    then a query is a probe: the live points within w in every coordinate
-    (w the cell width, read from the dataset's KD-tree with the Chebyshev
-    metric), then within c·R, then those whose key (table_buckets) equals
-    the queried point's in some table.  Tables are checked in growing
-    chunks, and a candidate drops out at its first match.  probe_checks
-    counts the probes' work in candidate × table checks (see the module
-    docstring).
+    An index without tables ("exact" mode) scans the live points.  One
+    with tables holds their shifts and key mixers from the start, but fills
+    no table storage until that pays (fill).  Until then a query is a
+    probe: the live points within w in every coordinate (w the cell width,
+    read from the dataset's KD-tree with the Chebyshev metric), then within
+    c·R, then those whose key (table_buckets) equals the queried point's in
+    some table.  Tables are checked in growing chunks, and a candidate
+    drops out at its first match.  probe_checks counts the probes' work in
+    candidate × table checks (see the module docstring).
     A probe gives the filled tables' answer: sharing a cell needs every
     coordinate within w, the keys are the same bits, and only a pair of
     distinct cells with one 64-bit key (about 2^-63 per pair) could be
     answered differently.
 
-    Filled storage is stacked: order and point_bucket are (L, n) int32, and
-    every table's offsets (its bucket starts, then n) sit back to back in
-    one flat int32 array, table t's from bucket_base[t].  Bucket b of table
-    t is order[t, offsets[g]:offsets[g+1]] with g = bucket_base[t] + b.
-    From the first filled query after a removal, a per-bucket live end
-    replaces offsets[g+1] as the bucket's end.  entries_scanned counts only
-    the entries that filled queries gather from the tables.
+    Filled storage is one CSR partition of a flat L·n array, table t's ids
+    in order[t·n:(t+1)·n]: point_bucket[t, p] is p's global bucket number,
+    bucket g is order[offsets[g]:live_end[g]], offsets ends in one L·n
+    sentinel, and live_end starts as offsets[1:] and drops as queries
+    compact dead ids away.  Those three are int32, or int64 once L·n
+    reaches 2^31.  entries_scanned counts only the entries filled queries
+    gather.
     """
 
-    def __init__(self, ds: Dataset, radius: float, c: float, mode: str,
-                 cell_width: float = 0.0, shifts: np.ndarray | None = None,
-                 mixers: np.ndarray | None = None):
+    def __init__(self, ds: Dataset, radius: float, c: float, cell_width: float = 0.0,
+                 shifts: np.ndarray | None = None, mixers: np.ndarray | None = None):
         super().__init__(ds.n)
         self.ds = ds
         self.radius = float(radius)
         self.c = float(c)
-        self.mode = mode
         self.probe_checks = 0
         self._cell_width = cell_width
         self._shifts = shifts
         self._mixers = mixers
         self._order: np.ndarray | None = None
-        self._live_end: np.ndarray | None = None
-        self._tables: list[GridTable] = []
 
     @property
     def num_tables(self) -> int:
@@ -294,22 +293,33 @@ class NeighborhoodIndex(_LiveSet):
 
     @property
     def tables(self) -> list[GridTable]:
-        """The grid tables; reading them fills the storage."""
+        """The grid tables, each in its own bucket numbering; reading them fills the storage."""
         self.fill()
-        return self._tables
+        n, ell = self.ds.n, self.num_tables
+        if ell == 0:
+            return []
+        # Offsets ascend, so table t's buckets start where its first id does.
+        bounds = np.searchsorted(self._offsets, np.arange(ell + 1) * n)
+        return [
+            GridTable(self._shifts[t], self._cell_width,
+                      (self._point_bucket[t] - bounds[t]).astype(np.int32),
+                      self._order[t * n : (t + 1) * n].copy(),
+                      (self._offsets[bounds[t] : bounds[t + 1] + 1] - t * n).astype(np.int32))
+            for t in range(ell)
+        ]
 
     def fill(self) -> None:
-        """Build the stacked table storage, once; answers do not change."""
+        """Build the flat table storage, once; answers do not change."""
         if self._shifts is None or self._order is not None:
             return
         n, ell = self.ds.n, self.num_tables
+        position = np.int32 if ell * n < 2**31 else np.int64
         order = np.empty((ell, n), dtype=np.int32)
-        point_bucket = np.empty((ell, n), dtype=np.int32)
+        point_bucket = np.empty((ell, n), dtype=position)
         # Sized for n buckets per table, then shrunk in place: the bucket count
         # is known only after each table's sort, and a grown copy would double
         # the offsets' peak memory.
-        offsets = np.empty(ell * (n + 1), dtype=np.int32)
-        bucket_base = np.empty(ell, dtype=np.int64)
+        offsets = np.empty(ell * n + 1, dtype=position)
         alone = np.ones(n, dtype=bool)
         points_t = np.ascontiguousarray(self.ds.points.T)
         used = 0
@@ -319,46 +329,37 @@ class NeighborhoodIndex(_LiveSet):
             # Position i holds a bucket of one if it and position i + 1 start buckets.
             alone[sort] &= first & np.append(first[1:], True)
             starts = np.flatnonzero(first)
-            bucket_base[t] = used
-            offsets[used : used + len(starts)] = starts
-            used += len(starts)
-            offsets[used] = n
-            used += 1
+            offsets[used : used + len(starts)] = starts + t * n
             order[t] = sort
-            point_bucket[t, sort] = np.cumsum(first) - 1
-        offsets.resize(used, refcheck=False)
+            point_bucket[t, sort] = np.cumsum(first) + (used - 1)
+            used += len(starts)
+        offsets[used] = ell * n
+        offsets.resize(used + 1, refcheck=False)
         self._order = order.reshape(-1)
         self._point_bucket = point_bucket
         self._offsets = offsets
-        self._bucket_base = bucket_base
-        self._row_base = np.arange(ell, dtype=np.int64) * n
+        self._live_end = offsets[1:].copy()
         self._alone = alone
-        bounds = np.append(bucket_base, len(offsets))
-        self._tables = [
-            GridTable(self._shifts[t], self._cell_width, point_bucket[t], order[t],
-                      offsets[bounds[t] : bounds[t + 1]])
-            for t in range(ell)
-        ]
 
     def query(self, point_id: int) -> np.ndarray:
         """Live ids within the sandwich around the stored point, ascending.
 
         The queried point may itself have been removed; it is then excluded
         like any other dead id.  An index with no live point returns at
-        once, in either mode.  An index whose probe work has passed L·n
-        fills its tables first (ski rental: the probes then cost about as
-        much as the fill).  A point alone in all its L buckets answers
-        itself if live and nothing if dead, reading no entry: no other
-        query reads its buckets, so they need no compaction.  Otherwise
-        all L buckets of the point are gathered in one step, and each
-        entry gathered counts in entries_scanned; on an index that holds
-        dead ids, the query also compacts each bucket it read: the
-        bucket's live ids move, in their order, to its front and its live
-        end moves down, so a dead id is read at most once per table.
+        once, and one without tables scans.  An index whose probe work
+        has passed L·n fills its tables first (ski rental: the probes then
+        cost about as much as the fill).  A point alone in all its L
+        buckets answers itself if live and nothing if dead, reading no
+        entry: no other query reads its buckets, so they need no
+        compaction.  Otherwise all L buckets of the point are gathered in
+        one step, and each entry gathered counts in entries_scanned; if
+        any of them is dead, the query also compacts each bucket it read:
+        the bucket's live ids move, in their order, to its front and its
+        live end moves down, so a dead id is read at most once per table.
         """
         if self.live_count == 0:
             return np.empty(0, dtype=np.int64)
-        if self.mode == "exact":
+        if self._shifts is None:
             dr = dists_from(self.ds.points, point_id)
             return np.flatnonzero(self.live & (dr <= self.radius))
         if self._order is None and self.probe_checks > self.num_tables * self.ds.n:
@@ -367,26 +368,18 @@ class NeighborhoodIndex(_LiveSet):
             return self._probe(point_id)
         if self._alone[point_id]:
             return np.array([point_id] if self.live[point_id] else [], dtype=np.int64)
-        if self._live_end is None and self.live_count < self.ds.n:
-            self._live_end = self._offsets[1:].copy()
-        bucket = self._bucket_base + self._point_bucket[:, point_id]
-        local_start = self._offsets[bucket]
-        local_end = self._offsets[bucket + 1] if self._live_end is None else self._live_end[bucket]
-        start = local_start + self._row_base
-        length = local_end - local_start
+        bucket = self._point_bucket[:, point_id]
+        start = self._offsets[bucket]
+        length = self._live_end[bucket] - start
         self.entries_scanned += int(length.sum())
         cand = self._order[_segment_positions(start, length)]
-        if self._live_end is not None:
-            alive = self.live[cand]
-            if not alive.all():
-                # reduceat cannot sum an empty segment, so those keep 0.
-                read = length > 0
-                kept = np.zeros(len(length), dtype=np.int64)
-                kept[read] = np.add.reduceat(alive, (np.cumsum(length) - length)[read],
-                                             dtype=np.int64)
-                cand = cand[alive]
-                self._order[_segment_positions(start, kept)] = cand
-                self._live_end[bucket] = local_start + kept
+        alive = self.live[cand]
+        if not alive.all():
+            kept = np.bincount(np.repeat(np.arange(len(length)), length)[alive],
+                               minlength=len(length))
+            cand = cand[alive]
+            self._order[_segment_positions(start, kept)] = cand
+            self._live_end[bucket] = start + kept
         return self._within_reach(np.unique(cand), point_id)
 
     def _within_reach(self, cand: np.ndarray, point_id: int) -> np.ndarray:
@@ -444,9 +437,9 @@ def build(ds: Dataset, radius: float, c: float = 5.0, delta: float | None = None
     if mode not in ("exact", "lsh"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "exact":
-        return NeighborhoodIndex(ds, radius, c, mode)
+        return NeighborhoodIndex(ds, radius, c)
     cell_width, shifts, mixers = draw_tables(ds.n, ds.d, radius, c, delta, seed, num_levels)
-    return NeighborhoodIndex(ds, radius, c, mode, cell_width, shifts, mixers)
+    return NeighborhoodIndex(ds, radius, c, cell_width, shifts, mixers)
 
 
 def radius_kind(radius: float, c: float, diag: float) -> str:

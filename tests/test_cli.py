@@ -47,6 +47,16 @@ class TestIngestCsv:
         with pytest.raises(cli.DataError, match="line 2.*nan"):
             cli.ingest(str(p))
 
+    @pytest.mark.parametrize("command", ["cluster", "eval"])
+    def test_non_utf8_is_data_error(self, tmp_path, capsys, command):
+        p = tmp_path / "latin.csv"
+        p.write_bytes(b"0,0\n\xff,1\n")
+        args = ("cluster", str(p), "--k", "1") if command == "cluster" else (
+            "eval", str(tmp_path / "r.json"), str(p))
+        assert run_cli(*args) == 3
+        errors = error_lines(capsys.readouterr().err)
+        assert len(errors) == 1 and errors[0].startswith(f"error: {p}: not UTF-8")
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("# nothing\n")
@@ -78,6 +88,14 @@ class TestIngestBinary:
         p.write_bytes(struct.pack("<II", 4, 2) + b"\x00" * 10)
         with pytest.raises(cli.DataError, match="truncated"):
             cli.ingest(str(p))
+
+    def test_oversized_payload_is_data_error(self, tmp_path, capsys):
+        p = tmp_path / "long.f32"
+        p.write_bytes(struct.pack("<II", 3, 2) + b"\x00" * 32)
+        with pytest.raises(cli.DataError, match="expected 4·n·d = 24 bytes .* got 32"):
+            cli.ingest(str(p))
+        assert run_cli("cluster", str(p), "--k", "1") == 3
+        assert len(error_lines(capsys.readouterr().err)) == 1
 
     def test_non_finite_reports_point(self, tmp_path):
         p = tmp_path / "inf.f32"
@@ -412,3 +430,10 @@ class TestBench:
 
     def test_bad_sizes_usage_error(self):
         assert run_cli("bench", "--sizes", "ten,20") == 2
+
+    def test_repeated_sizes_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "bench.json"
+        assert run_cli("bench", "--sizes", "64,64", "--out", str(out)) == 2
+        errors = error_lines(capsys.readouterr().err)
+        assert len(errors) == 1 and "repeats" in errors[0]
+        assert not out.exists()

@@ -50,6 +50,34 @@ class TestInit:
         val = state.values[ref.level, ref.point]
         assert val == best
 
+    def test_exact_indexes_scan(self):
+        # Exact mode gives each radius the index kind lsh mode does, and every
+        # one answers like a scan of the live points, before and after removals.
+        ds = with_duplicates(80, 2, seed=80, dup_fraction=0.6)
+        params = ClusterParams(k=ds.n, seed=0)
+        scaled, info = normalize(ds, params.c)
+        exact = greedy.init(scaled, params, info, mode="exact")
+        lsh_state = greedy.init(scaled, params, info, mode="lsh")
+        radii = level_radii(info, params.c)
+        rng = np.random.default_rng(0)
+        kinds = set()
+        for mine, theirs, family_radii in [
+                (exact.seq_indexes, lsh_state.seq_indexes, 10.0 * params.c * radii),
+                (exact.rem_indexes, lsh_state.rem_indexes, 100.0 * params.c**4 * radii)]:
+            assert [type(ix) for ix in mine] == [type(ix) for ix in theirs]
+            kinds |= {type(ix) for ix in mine}
+            for index, radius in zip(mine, family_radii):
+                live = np.ones(scaled.n, dtype=bool)
+                for batch in [*np.array_split(rng.permutation(scaled.n), 3), None]:
+                    for pid in range(scaled.n):
+                        want = np.flatnonzero(live & (dists_from(scaled.points, pid) <= radius))
+                        got = index.query(pid)
+                        assert got.dtype == np.int64 and np.array_equal(got, want)
+                    if batch is not None:
+                        index.remove_many(batch)
+                        live[batch] = False
+        assert len(kinds) == 3
+
     def test_rejects_unknown_mode(self):
         ds = uniform_dataset(4, 2, seed=1)
         params = ClusterParams(k=1, seed=0)

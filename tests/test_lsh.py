@@ -100,7 +100,7 @@ def _bucket_members(order, offsets):
 
 
 class TestTableBuckets:
-    """lsh.build's stacked tables against the stable one-table-at-a-time reference."""
+    """lsh.build's flat tables against the stable one-table-at-a-time reference."""
 
     @pytest.mark.parametrize("case", table_step_cases(), ids=lambda case: case[0])
     def test_build_matches_reference(self, case):
@@ -115,11 +115,14 @@ class TestTableBuckets:
             base = 0
             for t, (order, point_bucket, offsets) in enumerate(ref):
                 table = idx.tables[t]
-                assert idx._bucket_base[t] == base
-                base += len(offsets)
+                # The flat storage numbers table t's buckets after all earlier tables'.
+                assert np.array_equal(idx._point_bucket[t], point_bucket + base)
+                assert np.array_equal(idx._offsets[base : base + len(offsets)], offsets + t * ds.n)
+                base += len(offsets) - 1
                 assert np.array_equal(table.offsets, offsets)
                 assert np.array_equal(table.point_bucket, point_bucket)
                 assert _bucket_members(table.order, table.offsets) == _bucket_members(order, offsets)
+            assert len(idx._offsets) == base + 1
 
 
 class TestCellKeys:
@@ -374,6 +377,26 @@ class TestCompaction:
         sequence = lsh.degenerate_index(kind, groups)
         self._check(removal, lambda p: built[p][removal.live[built[p]]], n,
                     data.draw(_ops(n)), sequence, built)
+
+    def test_compacted_buckets_read_only_live_entries(self):
+        # Once a query has read a point's buckets, querying it again reads
+        # only their live entries: each dead id left at its first read.
+        ds = mixture_dataset(300, 3, 4, 0.05, seed=7)
+        idx = lsh.build(ds, 0.05, c=5.0, seed=0)
+        tables = idx.tables
+        idx.remove_many(np.random.default_rng(0).choice(ds.n, ds.n // 2, replace=False))
+        first = second = 0
+        for p in np.flatnonzero(~idx._alone):
+            before = idx.entries_scanned
+            idx.query(p)
+            middle = idx.entries_scanned
+            idx.query(p)
+            first += middle - before
+            second += idx.entries_scanned - middle
+            buckets = [t.order[t.offsets[t.point_bucket[p]] : t.offsets[t.point_bucket[p] + 1]]
+                       for t in tables]
+            assert idx.entries_scanned - middle == sum(int(idx.live[b].sum()) for b in buckets)
+        assert 0 < second < first
 
     @pytest.mark.parametrize("n", [400, 1024])
     def test_full_ordering_reads_each_entry_at_most_twice(self, n):
