@@ -51,7 +51,8 @@ def _parse_csv(path: str) -> Dataset:
     rows: list[list[float]] = []
     width = None
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # utf-8-sig drops the byte-order mark that spreadsheet tools write.
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc})") from None
     for lineno, raw in enumerate(text.split("\n"), start=1):

@@ -6,9 +6,9 @@ all levels, then builds, per level, a "sequence" neighborhood index at radius
 deleted from it as centers claim them).  Each of these radii is classified
 once by lsh.radius_kind.  A degenerate one (whole set or duplicate groups)
 gets a table-free index in both modes, exact about which points the ball
-holds.  A grid radius gets a grid-LSH index in lsh mode, which fills its
-tables only when its queries pay for them, and a scanning index in exact
-mode.  lsh mode values grid levels with bucket sketches and degenerate
+holds.  A grid radius gets a grid-LSH index in lsh mode, which probes its
+tables and fills its alone mask only when its queries pay for it, and a
+scanning index in exact mode.  lsh mode values grid levels with bucket sketches and degenerate
 levels with group estimates; exact mode counts every ball.
 
 Each iteration pops the available ball with the largest value, walks it down
@@ -116,7 +116,6 @@ class GreedyState:
         self.params = params
         self.info = info
         self.values = values
-        self.radii = level_radii(info, params.c)
         self.avail = AvailableSet(values)
         self.seq_indexes = seq_indexes
         self.rem_indexes = rem_indexes
@@ -137,8 +136,8 @@ def init(ds: Dataset, params: ClusterParams, info: ScaleInfo, mode: str = "lsh",
     (sketch.compute_values) and keeps none; exact mode counts the balls.
     One recipe builds every index in both modes: a degenerate radius gets
     lsh.degenerate_index, and a grid radius lsh.build in the run's mode.
-    The retained lsh grid indexes start unfilled and fill themselves once
-    their probes pay for it (lsh.NeighborhoodIndex.query).  init reads no
+    The retained lsh grid indexes start unfilled and fill their alone masks
+    once their probes pay for it (lsh.NeighborhoodIndex.query).  init reads no
     k, so neither the state nor the ordering depends on how many centers a
     run will take.  delta, the failure probability of the grid tables,
     defaults in lsh.draw_tables.

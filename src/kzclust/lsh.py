@@ -37,27 +37,29 @@ distance at most R in the same cell:
 A table buckets the points by a 64-bit mixed key of their cell
 (table_buckets) and numbers its buckets in key order.  The order of ids
 inside a bucket is unspecified: queries deduplicate their candidates and
-value estimation takes maxima, so nothing reads it.  A filled index
-keeps its L tables as one CSR partition of a flat L·n id array.
+value estimation takes maxima, so nothing reads it.  No index keeps its
+tables' buckets: value estimation streams them, and NeighborhoodIndex.tables
+builds them anew on each read.
 
-build draws an index's tables (draw_tables) but fills no storage.  Its
-queries start as probes, which compute the queried point's and nearby
-points' keys table by table and give the filled tables' answer (see
-NeighborhoodIndex).  probe_checks charges each probe for all of its work
-in one unit, a candidate's key in one table: a fixed cost per probe
-(_PROBE_OVERHEAD, measured), every point of its KD-tree box, and the keys
-of the candidates and of the queried point in each table it reaches.  A
-fill costs about one unit per table entry, L·n in all.  The index fills
-its storage once its probe work passes L·n, or when its tables are read;
-by the ski-rental argument (Karlin, Manasse, Rudolph and Sleator,
-Algorithmica 1988) it then spends at most about twice what the cheaper of
-never and always filling would have.  An index with no live point left
+build draws an index's tables (draw_tables) and computes no bucket.  Its
+queries are probes, which compute the queried point's and nearby points'
+keys table by table and give the tables' answer (see NeighborhoodIndex).
+probe_checks charges each probe for all of its work in one unit, a
+candidate's key in one table: a fixed cost per probe (_PROBE_OVERHEAD,
+measured), every point of its KD-tree box, and the keys of the candidates
+and of the queried point in each table it reaches.  The one purchase is
+the fill: one pass over the L tables that marks each point no table puts
+with another point, at most one unit per table entry (measured at about a
+third of one).  A query for such a point answers [p] (or nothing once p
+is dead) with no probe, as nearly every removal query of a full ordering
+does once its index has filled.  The index fills once its probe work
+passes L·n, a bound on the fill's cost; by the ski-rental argument
+(Karlin, Manasse, Rudolph and Sleator, Algorithmica 1988) it then spends
+at most about twice what never filling would have, and a small multiple
+of what filling at once would have.  An index with no live point left
 answers at once, with no probe and no fill, so a removal index whose
 points run out before its probe work passes L·n never fills, and a run
-that sends an index a few queries never fills it either.  The fill also
-marks each point that no table puts with another point; a filled query
-for such a point answers [p] (or nothing once p is dead) and reads no
-entry, as nearly every filled removal query of a full ordering does.
+that sends an index a few queries never fills it either.
 
 In "exact" mode there are no tables and a query scans the live points, so
 N = B(p, R) ∩ live; greedy.init builds such an index only at grid radii.
@@ -72,14 +74,12 @@ sandwich with probability 1; their answers are the exact scan's, in
 either mode.  Every index kind keeps one removal state (_LiveSet) and
 answers at once when no point is live.
 
-Concurrency: the fill is pure per table, and a probe writes nothing but
-its index's probe_checks counter and, on the dataset's first probe, the
-dataset's cached KD-tree (Dataset.tree).  But any grid-index query may be
-the one that fills the storage, and on a removal index remove_many()
-marks ids dead and a query that meets dead ids rewrites the prefixes of
-the buckets it read.  Calls on one grid index must therefore not run
-concurrently.  A degenerate index's query writes only its entries_scanned
-counter, never the shared partition.
+Concurrency: a grid query writes nothing but its index's probe_checks
+counter, once the index's alone mask (the fill), and on the dataset's first
+probe the dataset's cached KD-tree (Dataset.tree); remove_many() writes the
+live mask.  Calls on one grid index must therefore not run concurrently.
+A degenerate index's query writes only its entries_scanned counter, never
+the shared partition.
 """
 
 from __future__ import annotations
@@ -135,8 +135,8 @@ class GridTable:
 
     Lookup is by point id: point_bucket[p] indexes into (offsets, order),
     where order holds point ids grouped by occupied cell.  The three int32
-    arrays are copies of the owning index's flat storage made when its
-    tables are read, in this table's own bucket numbering.
+    arrays are built from table_buckets when an index's tables are read;
+    no index keeps them.
     """
 
     shift: np.ndarray
@@ -204,13 +204,6 @@ def table_buckets(points_t: np.ndarray, cell_width: float, shift: np.ndarray,
     return order, first
 
 
-def _segment_positions(start: np.ndarray, length: np.ndarray) -> np.ndarray:
-    """The positions start[i] .. start[i] + length[i] - 1 of every segment, in order."""
-    pos = np.repeat(start - (np.cumsum(length) - length), length)
-    pos += np.arange(len(pos))
-    return pos
-
-
 # The probe checks its first candidates against 2 tables, then twice as many
 # each round, with at most this many candidate coordinates per round.
 _PROBE_FIRST_TABLES = 2
@@ -218,21 +211,16 @@ _PROBE_CHUNK = 1 << 18
 
 # A probe's fixed cost (the box query, the c·R filter and the NumPy calls of
 # each round), counted in checks.  On a 2-vCPU Xeon VM a probe took about
-# 140 us plus 140 ns per check, and the fill 110-140 ns per table entry.
+# 140 us plus 140 ns per check, and the fill 48 ns per table entry.
 _PROBE_OVERHEAD = 1024
 
 
 class _LiveSet:
-    """Removal state of every index kind: live, its exact live_count, remove_many.
-
-    entries_scanned counts the stored entries, dead ones included, that
-    queries have read.
-    """
+    """Removal state of every index kind: live, its exact live_count, remove_many."""
 
     def __init__(self, n: int):
         self.live = np.ones(n, dtype=bool)
         self.live_count = n
-        self.entries_scanned = 0
 
     def remove_many(self, point_ids: np.ndarray) -> None:
         """Mark points dead; they never appear in later query results.
@@ -253,26 +241,20 @@ class NeighborhoodIndex(_LiveSet):
     """Radius-R neighborhood structure over a fixed dataset; supports removal.
 
     An index without tables ("exact" mode) scans the live points.  One
-    with tables holds their shifts and key mixers from the start, but fills
-    no table storage until that pays (fill).  Until then a query is a
-    probe: the live points within w in every coordinate (w the cell width,
-    read from the dataset's KD-tree with the Chebyshev metric), then within
+    with tables holds their shifts and key mixers and answers by a probe:
+    the live points within w in every coordinate (w the cell width, read
+    from the dataset's KD-tree with the Chebyshev metric), then within
     c·R, then those whose key (table_buckets) equals the queried point's in
     some table.  Tables are checked in growing chunks, and a candidate
     drops out at its first match.  probe_checks counts the probes' work in
     candidate × table checks (see the module docstring).
-    A probe gives the filled tables' answer: sharing a cell needs every
-    coordinate within w, the keys are the same bits, and only a pair of
-    distinct cells with one 64-bit key (about 2^-63 per pair) could be
-    answered differently.
+    A probe gives the tables' answer: sharing a cell needs every coordinate
+    within w, the keys are the same bits, and only a pair of distinct cells
+    with one 64-bit key (about 2^-63 per pair) could be answered
+    differently.
 
-    Filled storage is one CSR partition of a flat L·n array, table t's ids
-    in order[t·n:(t+1)·n]: point_bucket[t, p] is p's global bucket number,
-    bucket g is order[offsets[g]:live_end[g]], offsets ends in one L·n
-    sentinel, and live_end starts as offsets[1:] and drops as queries
-    compact dead ids away.  Those three are int32, or int64 once L·n
-    reaches 2^31.  entries_scanned counts only the entries filled queries
-    gather.
+    Its one other piece of state is the fill's n-long mask of the points
+    alone in all their L buckets, None until the fill (see query).
     """
 
     def __init__(self, ds: Dataset, radius: float, c: float, cell_width: float = 0.0,
@@ -285,60 +267,44 @@ class NeighborhoodIndex(_LiveSet):
         self._cell_width = cell_width
         self._shifts = shifts
         self._mixers = mixers
-        self._order: np.ndarray | None = None
+        self._alone: np.ndarray | None = None
 
     @property
     def num_tables(self) -> int:
         return 0 if self._shifts is None else len(self._shifts)
 
+    def _buckets(self):
+        """table_buckets of each table in turn: (shift, order, first)."""
+        points_t = np.ascontiguousarray(self.ds.points.T)
+        for shift, mixers in zip(self._shifts, self._mixers):
+            yield shift, *table_buckets(points_t, self._cell_width, shift, mixers)
+
     @property
     def tables(self) -> list[GridTable]:
-        """The grid tables, each in its own bucket numbering; reading them fills the storage."""
-        self.fill()
-        n, ell = self.ds.n, self.num_tables
-        if ell == 0:
+        """The grid tables, each in its own bucket numbering, built anew on each read.
+
+        Reading them changes neither the index nor its answers.
+        """
+        if self._shifts is None:
             return []
-        # Offsets ascend, so table t's buckets start where its first id does.
-        bounds = np.searchsorted(self._offsets, np.arange(ell + 1) * n)
-        return [
-            GridTable(self._shifts[t], self._cell_width,
-                      (self._point_bucket[t] - bounds[t]).astype(np.int32),
-                      self._order[t * n : (t + 1) * n].copy(),
-                      (self._offsets[bounds[t] : bounds[t + 1] + 1] - t * n).astype(np.int32))
-            for t in range(ell)
-        ]
+        n = self.ds.n
+        tables = []
+        for shift, order, first in self._buckets():
+            point_bucket = np.empty(n, dtype=np.int32)
+            point_bucket[order] = np.cumsum(first) - 1
+            tables.append(GridTable(shift, self._cell_width, point_bucket,
+                                    order.astype(np.int32),
+                                    np.append(np.flatnonzero(first), n).astype(np.int32)))
+        return tables
 
     def fill(self) -> None:
-        """Build the flat table storage, once; answers do not change."""
-        if self._shifts is None or self._order is not None:
+        """Mark, once, the points alone in all their L buckets; answers do not change."""
+        if self._shifts is None or self._alone is not None:
             return
-        n, ell = self.ds.n, self.num_tables
-        position = np.int32 if ell * n < 2**31 else np.int64
-        order = np.empty((ell, n), dtype=np.int32)
-        point_bucket = np.empty((ell, n), dtype=position)
-        # Sized for n buckets per table, then shrunk in place: the bucket count
-        # is known only after each table's sort, and a grown copy would double
-        # the offsets' peak memory.
-        offsets = np.empty(ell * n + 1, dtype=position)
-        alone = np.ones(n, dtype=bool)
-        points_t = np.ascontiguousarray(self.ds.points.T)
-        used = 0
-        for t in range(ell):
-            sort, first = table_buckets(points_t, self._cell_width, self._shifts[t],
-                                        self._mixers[t])
+        alone = np.ones(self.ds.n, dtype=bool)
+        for _, order, first in self._buckets():
             # Position i holds a bucket of one if it and position i + 1 start buckets.
-            alone[sort] &= first & np.append(first[1:], True)
-            starts = np.flatnonzero(first)
-            offsets[used : used + len(starts)] = starts + t * n
-            order[t] = sort
-            point_bucket[t, sort] = np.cumsum(first) + (used - 1)
-            used += len(starts)
-        offsets[used] = ell * n
-        offsets.resize(used + 1, refcheck=False)
-        self._order = order.reshape(-1)
-        self._point_bucket = point_bucket
-        self._offsets = offsets
-        self._live_end = offsets[1:].copy()
+            alone[order] &= first & np.append(first[1:], True)
         self._alone = alone
 
     def query(self, point_id: int) -> np.ndarray:
@@ -346,41 +312,22 @@ class NeighborhoodIndex(_LiveSet):
 
         The queried point may itself have been removed; it is then excluded
         like any other dead id.  An index with no live point returns at
-        once, and one without tables scans.  An index whose probe work
-        has passed L·n fills its tables first (ski rental: the probes then
-        cost about as much as the fill).  A point alone in all its L
-        buckets answers itself if live and nothing if dead, reading no
-        entry: no other query reads its buckets, so they need no
-        compaction.  Otherwise all L buckets of the point are gathered in
-        one step, and each entry gathered counts in entries_scanned; if
-        any of them is dead, the query also compacts each bucket it read:
-        the bucket's live ids move, in their order, to its front and its
-        live end moves down, so a dead id is read at most once per table.
+        once, and one without tables scans.  An index whose probe work has
+        passed L·n fills first (ski rental: the probes have then paid at
+        least the fill's cost).  A filled index answers a point alone in
+        all its L buckets with itself if live and nothing if dead, with no
+        probe; every other query is a probe.
         """
         if self.live_count == 0:
             return np.empty(0, dtype=np.int64)
         if self._shifts is None:
             dr = dists_from(self.ds.points, point_id)
             return np.flatnonzero(self.live & (dr <= self.radius))
-        if self._order is None and self.probe_checks > self.num_tables * self.ds.n:
+        if self._alone is None and self.probe_checks > self.num_tables * self.ds.n:
             self.fill()
-        if self._order is None:
-            return self._probe(point_id)
-        if self._alone[point_id]:
+        if self._alone is not None and self._alone[point_id]:
             return np.array([point_id] if self.live[point_id] else [], dtype=np.int64)
-        bucket = self._point_bucket[:, point_id]
-        start = self._offsets[bucket]
-        length = self._live_end[bucket] - start
-        self.entries_scanned += int(length.sum())
-        cand = self._order[_segment_positions(start, length)]
-        alive = self.live[cand]
-        if not alive.all():
-            kept = np.bincount(np.repeat(np.arange(len(length)), length)[alive],
-                               minlength=len(length))
-            cand = cand[alive]
-            self._order[_segment_positions(start, kept)] = cand
-            self._live_end[bucket] = start + kept
-        return self._within_reach(np.unique(cand), point_id)
+        return self._probe(point_id)
 
     def _within_reach(self, cand: np.ndarray, point_id: int) -> np.ndarray:
         """The candidates within c·R of the point, as int64."""
@@ -429,8 +376,8 @@ def build(ds: Dataset, radius: float, c: float = 5.0, delta: float | None = None
     """Construct a NeighborhoodIndex over the dataset.
 
     delta defaults to 1/n^2 (clamped below 1).  Deterministic given seed.
-    The tables start unfilled; the index fills them itself when its probes
-    have paid for that (NeighborhoodIndex.query).
+    No bucket is computed here; the index fills its alone mask itself when
+    its probes have paid for that (NeighborhoodIndex.query).
     """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
@@ -486,12 +433,14 @@ class _DuplicateGroupIndex(_LiveSet):
     partition may be shared with other indexes and is never written.  It
     needs no compaction: a removal sweep kills every id its query returns,
     and that is the whole live part of the group, so a removal index never
-    reads a group that is only partly dead.
+    reads a group that is only partly dead.  entries_scanned counts the
+    group members, dead ones included, that queries have read.
     """
 
     def __init__(self, groups: DuplicateGroups):
         super().__init__(len(groups.group_of))
         self.groups = groups
+        self.entries_scanned = 0
 
     def query(self, point_id: int) -> np.ndarray:
         if self.live_count == 0:

@@ -205,7 +205,7 @@ def test_criterion_5_neighborhood_sandwich():
 def _check_structural(sol, state, log, c):
     """Trace bound and candidate-proximity bound for one logged run."""
     pts = state.ds.points
-    radii = state.radii
+    radii = level_radii(state.info, c)
     bad_trace = 0
     for trace in sol.traces:
         head = trace[0]

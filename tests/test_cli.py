@@ -57,6 +57,14 @@ class TestIngestCsv:
         errors = error_lines(capsys.readouterr().err)
         assert len(errors) == 1 and errors[0].startswith(f"error: {p}: not UTF-8")
 
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbf0,0\n1,1\n")
+        ds = cli.ingest(str(p))
+        assert np.array_equal(ds.points, [[0.0, 0.0], [1.0, 1.0]])
+        assert run_cli("cluster", str(p), "--k", "1") == 0
+        assert error_lines(capsys.readouterr().err) == []
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("# nothing\n")

@@ -100,7 +100,7 @@ def _bucket_members(order, offsets):
 
 
 class TestTableBuckets:
-    """lsh.build's flat tables against the stable one-table-at-a-time reference."""
+    """An index's tables against the stable one-table-at-a-time reference."""
 
     @pytest.mark.parametrize("case", table_step_cases(), ids=lambda case: case[0])
     def test_build_matches_reference(self, case):
@@ -112,17 +112,10 @@ class TestTableBuckets:
             sizes = np.concatenate([np.diff(offsets) for _, _, offsets in ref])
             assert {"singletons": sizes.max() == 1, "one": sizes.min() == ds.n,
                     "mixed": sizes.min() == 1 < sizes.max()}[shape]
-            base = 0
-            for t, (order, point_bucket, offsets) in enumerate(ref):
-                table = idx.tables[t]
-                # The flat storage numbers table t's buckets after all earlier tables'.
-                assert np.array_equal(idx._point_bucket[t], point_bucket + base)
-                assert np.array_equal(idx._offsets[base : base + len(offsets)], offsets + t * ds.n)
-                base += len(offsets) - 1
+            for table, (order, point_bucket, offsets) in zip(idx.tables, ref):
                 assert np.array_equal(table.offsets, offsets)
                 assert np.array_equal(table.point_bucket, point_bucket)
                 assert _bucket_members(table.order, table.offsets) == _bucket_members(order, offsets)
-            assert len(idx._offsets) == base + 1
 
 
 class TestCellKeys:
@@ -233,13 +226,6 @@ class TestQuery:
                 for q in idx.query(pid):
                     assert math.dist(ds.points[pid], ds.points[q]) <= c * radius * (1 + 1e-9)
 
-    def test_entries_scanned_counter(self):
-        ds = uniform_dataset(30, 3, seed=4)
-        idx = lsh.build(ds, 0.4, c=5.0, seed=1, mode="lsh")
-        sizes = [np.diff(t.offsets)[t.point_bucket[5]] for t in idx.tables]
-        idx.query(5)
-        assert idx.entries_scanned == sum(sizes)
-
 
 class TestRemove:
     def test_removed_id_absent_everywhere(self):
@@ -304,7 +290,7 @@ class TestRemove:
 
 
 def _grid_built(idx):
-    """Each point's union of buckets as built, before any query compacts them."""
+    """Each point's union of buckets in the index's tables."""
     return [np.unique(np.concatenate([
         t.order[t.offsets[t.point_bucket[p]] : t.offsets[t.point_bucket[p] + 1]] for t in idx.tables
     ])).astype(np.int64) for p in range(idx.ds.n)]
@@ -330,8 +316,9 @@ def _ops(n):
 class TestCompaction:
     """Removal state must not change answers, and live_count stays exact.
 
-    Only grid indexes compact, moving each bucket's live ids to its front;
-    degenerate indexes filter the shared partition by the live mask.
+    Every index kind filters by its live mask: a grid index probes the live
+    points near the queried one, and a degenerate index filters the shared
+    partition.
     """
 
     @staticmethod
@@ -378,49 +365,24 @@ class TestCompaction:
         self._check(removal, lambda p: built[p][removal.live[built[p]]], n,
                     data.draw(_ops(n)), sequence, built)
 
-    def test_compacted_buckets_read_only_live_entries(self):
-        # Once a query has read a point's buckets, querying it again reads
-        # only their live entries: each dead id left at its first read.
-        ds = mixture_dataset(300, 3, 4, 0.05, seed=7)
-        idx = lsh.build(ds, 0.05, c=5.0, seed=0)
-        tables = idx.tables
-        idx.remove_many(np.random.default_rng(0).choice(ds.n, ds.n // 2, replace=False))
-        first = second = 0
-        for p in np.flatnonzero(~idx._alone):
-            before = idx.entries_scanned
-            idx.query(p)
-            middle = idx.entries_scanned
-            idx.query(p)
-            first += middle - before
-            second += idx.entries_scanned - middle
-            buckets = [t.order[t.offsets[t.point_bucket[p]] : t.offsets[t.point_bucket[p] + 1]]
-                       for t in tables]
-            assert idx.entries_scanned - middle == sum(int(idx.live[b].sum()) for b in buckets)
-        assert 0 < second < first
-
     @pytest.mark.parametrize("n", [400, 1024])
     def test_full_ordering_reads_each_entry_at_most_twice(self, n):
-        # Dead ids leave a bucket the first time a query reads them, and a
-        # removal sweep kills what it returns, so over a full ordering each
-        # table entry is read about once alive and once dead.  A degenerate
-        # query returns the whole live part of its group and the sweep kills
-        # it, so each group is read once: n entries at most.
+        # A degenerate query returns the whole live part of its group and
+        # the sweep kills it, so each group is read once: n entries at most.
+        # Grid indexes store no entries; their work is probe_checks.
         ds = mixture_dataset(n, 8, 16, 0.05, seed=n)
         params = ClusterParams(k=n, seed=1)
         scaled, info = normalize(ds, params.c)
         state = greedy.init(scaled, params, info, mode="lsh")
         greedy.run_incremental(state)
-        grid = [ix for ix in state.rem_indexes if isinstance(ix, lsh.NeighborhoodIndex)]
-        assert grid
-        for ix in grid:
-            assert ix.entries_scanned <= 2 * n * ix.num_tables
-        for ix in state.rem_indexes:
-            if not isinstance(ix, lsh.NeighborhoodIndex):
-                assert ix.entries_scanned <= n
+        degenerate = [ix for ix in state.rem_indexes if not isinstance(ix, lsh.NeighborhoodIndex)]
+        assert degenerate and len(degenerate) < len(state.rem_indexes)
+        for ix in degenerate:
+            assert ix.entries_scanned <= n
 
 
 def _filled(index):
-    return index._order is not None
+    return index._alone is not None
 
 
 class TestProbeFirst:
@@ -455,7 +417,9 @@ class TestProbeFirst:
                 for index in (probe, eager, never):
                     index.remove_many(np.array(arg, dtype=np.int64))
             elif op == "tables":
-                assert len(probe.tables) == probe.num_tables and _filled(probe)
+                filled, checks = _filled(probe), probe.probe_checks
+                assert len(probe.tables) == probe.num_tables
+                assert _filled(probe) == filled and probe.probe_checks == checks
             else:
                 for p in ([arg] if op == "query" else range(n)):
                     budget_passed = probe.probe_checks > probe.num_tables * n
@@ -476,6 +440,7 @@ class TestProbeFirst:
         budget = probe.num_tables * ds.n
         rng = np.random.default_rng(5)
         probed = 0
+        checks_at_fill = None
         for step in range(3 * ds.n):
             if step % 10 == 9:
                 victims = rng.choice(ds.n, size=3, replace=False)
@@ -486,10 +451,13 @@ class TestProbeFirst:
             probed += not passed
             assert np.array_equal(probe.query(p), eager.query(p))
             assert _filled(probe) == passed
+            if passed and checks_at_fill is None:
+                checks_at_fill = probe.probe_checks
         # Filled mid-sequence, after removals, by the budget alone; each of
-        # the probed queries was charged at least its fixed cost.
+        # the probed queries was charged at least its fixed cost.  A point
+        # that shares a bucket is still probed after the fill.
         assert 10 < probed <= budget // lsh._PROBE_OVERHEAD + 1
-        assert probe.probe_checks > budget and probe.entries_scanned > 0
+        assert budget < checks_at_fill < probe.probe_checks
 
     @pytest.mark.parametrize("mode", ["lsh", "exact", "all", "dup"])
     @pytest.mark.parametrize("filled", [False, True])
@@ -513,11 +481,11 @@ class TestProbeFirst:
             assert idx.live_count == ds.n - len(dead) == np.count_nonzero(idx.live)
         idx.remove_many(np.array([], dtype=np.int64))
         assert idx.live_count == 0
-        checks, scanned = getattr(idx, "probe_checks", 0), idx.entries_scanned
+        work = getattr(idx, "probe_checks", None), getattr(idx, "entries_scanned", None)
         for p in range(ds.n):
             got = idx.query(p)
             assert got.dtype == np.int64 and got.size == 0
-        assert getattr(idx, "probe_checks", 0) == checks and idx.entries_scanned == scanned
+        assert (getattr(idx, "probe_checks", None), getattr(idx, "entries_scanned", None)) == work
         if isinstance(idx, lsh.NeighborhoodIndex):
             assert _filled(idx) == (filled and mode == "lsh")
 
@@ -527,18 +495,32 @@ class TestProbeFirst:
         ds = Dataset(np.array([[0.0, 0.0], [0.0, 0.0], [0.01, 0.0], [5.0, 5.0]]))
         idx = lsh.build(ds, 0.03, c=5.0, seed=3)
         idx.fill()
-        scanned = idx.entries_scanned
+        assert idx._alone[3] and not idx._alone[0] and not idx._alone[1]
+        checks = idx.probe_checks
         got = idx.query(3)
         assert got.dtype == np.int64 and got.tolist() == [3]
         idx.remove_many(np.array([3]))
         got = idx.query(3)
         assert got.dtype == np.int64 and got.size == 0
-        assert idx.entries_scanned == scanned
+        assert idx.probe_checks == checks
         got = idx.query(0)
         assert {0, 1} <= set(got.tolist())
-        sizes = sum(int(np.diff(t.offsets)[t.point_bucket[0]]) for t in idx.tables)
-        assert sizes >= 2 * idx.num_tables
-        assert idx.entries_scanned == scanned + sizes
+        assert idx.probe_checks > checks
+
+    def test_reading_tables_changes_nothing(self):
+        # Read the tables every tenth step of a sequence that passes the
+        # budget; a twin that is never read must stay in step throughout.
+        ds = with_duplicates(300, 8, seed=8, dup_fraction=0.3)
+        read = lsh.build(ds, 0.03, c=5.0, seed=3)
+        twin = lsh.build(ds, 0.03, c=5.0, seed=3)
+        for step in range(2 * ds.n):
+            if step % 10 == 0:
+                assert len(read.tables) == read.num_tables
+                assert _filled(read) == _filled(twin)
+                assert read.probe_checks == twin.probe_checks
+            p = step % ds.n
+            assert np.array_equal(read.query(p), twin.query(p))
+        assert _filled(read) and _filled(twin)
 
     def test_init_fills_no_index_at_any_k_and_an_exhausted_removal_index_never_fills(self):
         n = 1024

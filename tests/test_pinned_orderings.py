@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from kzclust import greedy
+from kzclust import greedy, lsh
 from kzclust.metric import ClusterParams, normalize
 
 from conftest import mixture_dataset, with_duplicates
@@ -31,9 +31,19 @@ def _mixture_full_ordering():
     return greedy.run_incremental(state), state
 
 
+def _full_d8_ordering():
+    # The benchmark's full-d8 shape; its last grid removal index fills.
+    ds = mixture_dataset(1024, 8, 16, 0.05, seed=0)
+    params = ClusterParams(k=1024, seed=0)
+    scaled, info = normalize(ds, params.c)
+    state = greedy.init(scaled, params, info, mode="lsh")
+    return greedy.run_incremental(state), state
+
+
 PINNED = {
     "duplicates-k30": (_with_duplicates_k30, 30, "bc13cae9c8e6e96d", "4d94bf8c028495e6"),
     "mixture-full": (_mixture_full_ordering, 160, "8ae654e0d4c098fd", "db0c674d1bd6df0c"),
+    "full-d8": (_full_d8_ordering, 1024, "6bfd06999b049493", "b5a2fbfa1c524b88"),
 }
 
 INDEX_KINDS = {"_AllPointsIndex", "_DuplicateGroupIndex", "NeighborhoodIndex"}
@@ -63,3 +73,11 @@ def test_pinned_runs_cover_every_index_kind():
         _, state = make()
         kinds |= _index_kinds(state)
     assert kinds == INDEX_KINDS
+
+
+def test_full_d8_run_fills_a_grid_removal_index():
+    # A grid index fills once its probe work passes L·n, so the pinned
+    # ordering covers the filled query path as well as the probe.
+    _, state = _full_d8_ordering()
+    grid = [ix for ix in state.rem_indexes if isinstance(ix, lsh.NeighborhoodIndex)]
+    assert any(ix.probe_checks > ix.num_tables * ix.ds.n for ix in grid)
