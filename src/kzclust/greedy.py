@@ -7,9 +7,10 @@ deleted from it as centers claim them).  Each of these radii is classified
 once by lsh.radius_kind.  A degenerate one (whole set or duplicate groups)
 gets a table-free index in both modes, exact about which points the ball
 holds.  A grid radius gets a grid-LSH index in lsh mode, which probes its
-tables and fills its alone mask only when its queries pay for it, and a
-scanning index in exact mode.  lsh mode values grid levels with bucket sketches and degenerate
-levels with group estimates; exact mode counts every ball.
+tables and fills its alone mask only once its probe count passes the fill's
+price, and a scanning index in exact mode.  lsh mode values grid levels
+with bucket sketches and degenerate levels with group estimates; exact mode
+counts every ball.
 
 Each iteration pops the available ball with the largest value, walks it down
 one level at a time -- always moving to the neighbor whose next-level ball
@@ -137,7 +138,8 @@ def init(ds: Dataset, params: ClusterParams, info: ScaleInfo, mode: str = "lsh",
     One recipe builds every index in both modes: a degenerate radius gets
     lsh.degenerate_index, and a grid radius lsh.build in the run's mode.
     The retained lsh grid indexes start unfilled and fill their alone masks
-    once their probes pay for it (lsh.NeighborhoodIndex.query).  init reads no
+    once their probes, priced at lsh._PROBE_COST fill entries each, pass the
+    fill's L·n entries (lsh.NeighborhoodIndex.query).  init reads no
     k, so neither the state nor the ordering depends on how many centers a
     run will take.  delta, the failure probability of the grid tables,
     defaults in lsh.draw_tables.

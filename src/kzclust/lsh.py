@@ -43,23 +43,19 @@ builds them anew on each read.
 
 build draws an index's tables (draw_tables) and computes no bucket.  Its
 queries are probes, which compute the queried point's and nearby points'
-keys table by table and give the tables' answer (see NeighborhoodIndex).
-probe_checks charges each probe for all of its work in one unit, a
-candidate's key in one table: a fixed cost per probe (_PROBE_OVERHEAD,
-measured), every point of its KD-tree box, and the keys of the candidates
-and of the queried point in each table it reaches.  The one purchase is
-the fill: one pass over the L tables that marks each point no table puts
-with another point, at most one unit per table entry (measured at about a
-third of one).  A query for such a point answers [p] (or nothing once p
-is dead) with no probe, as nearly every removal query of a full ordering
-does once its index has filled.  The index fills once its probe work
-passes L·n, a bound on the fill's cost; by the ski-rental argument
-(Karlin, Manasse, Rudolph and Sleator, Algorithmica 1988) it then spends
-at most about twice what never filling would have, and a small multiple
-of what filling at once would have.  An index with no live point left
-answers at once, with no probe and no fill, so a removal index whose
-points run out before its probe work passes L·n never fills, and a run
-that sends an index a few queries never fills it either.
+keys table by table and give the tables' answer (see NeighborhoodIndex);
+probes counts them.  The one purchase is the fill: one pass over the L
+tables, L·n table entries, that marks each point no table puts with
+another point.  A query for such a point answers [p] (or nothing once p is
+dead) with no probe, as nearly every removal query of a full ordering does
+once its index has filled.  The index fills once probes·_PROBE_COST passes
+L·n, where _PROBE_COST is one probe's measured time in fill entries; by the
+ski-rental argument (Karlin, Manasse, Rudolph and Sleator, Algorithmica
+1988) it then spends at most about twice what the cheaper of never filling
+and filling at once would have.  An index with no live point left answers
+at once, with no probe and no fill, so a removal index whose points run out
+before its probes pass the budget never fills, and a run that sends an
+index a few queries never fills it either.
 
 In "exact" mode there are no tables and a query scans the live points, so
 N = B(p, R) ∩ live; greedy.init builds such an index only at grid radii.
@@ -74,10 +70,10 @@ sandwich with probability 1; their answers are the exact scan's, in
 either mode.  Every index kind keeps one removal state (_LiveSet) and
 answers at once when no point is live.
 
-Concurrency: a grid query writes nothing but its index's probe_checks
-counter, once the index's alone mask (the fill), and on the dataset's first
-probe the dataset's cached KD-tree (Dataset.tree); remove_many() writes the
-live mask.  Calls on one grid index must therefore not run concurrently.
+Concurrency: a grid query writes nothing but its index's probes counter,
+once the index's alone mask (the fill), and on the dataset's first probe
+the dataset's cached KD-tree (Dataset.tree); remove_many() writes the live
+mask.  Calls on one grid index must therefore not run concurrently.
 A degenerate index's query writes only its entries_scanned counter, never
 the shared partition.
 """
@@ -209,10 +205,9 @@ def table_buckets(points_t: np.ndarray, cell_width: float, shift: np.ndarray,
 _PROBE_FIRST_TABLES = 2
 _PROBE_CHUNK = 1 << 18
 
-# A probe's fixed cost (the box query, the c·R filter and the NumPy calls of
-# each round), counted in checks.  On a 2-vCPU Xeon VM a probe took about
-# 140 us plus 140 ns per check, and the fill 48 ns per table entry.
-_PROBE_OVERHEAD = 1024
+# One probe's price in fill entries.  On a 2-vCPU Xeon VM a probe took
+# 60-140 us and the fill 48 ns per table entry, a ratio of about 2^11.
+_PROBE_COST = 1 << 11
 
 
 class _LiveSet:
@@ -246,8 +241,8 @@ class NeighborhoodIndex(_LiveSet):
     from the dataset's KD-tree with the Chebyshev metric), then within
     c·R, then those whose key (table_buckets) equals the queried point's in
     some table.  Tables are checked in growing chunks, and a candidate
-    drops out at its first match.  probe_checks counts the probes' work in
-    candidate × table checks (see the module docstring).
+    drops out at its first match.  probes counts them (see the module
+    docstring).
     A probe gives the tables' answer: sharing a cell needs every coordinate
     within w, the keys are the same bits, and only a pair of distinct cells
     with one 64-bit key (about 2^-63 per pair) could be answered
@@ -263,7 +258,7 @@ class NeighborhoodIndex(_LiveSet):
         self.ds = ds
         self.radius = float(radius)
         self.c = float(c)
-        self.probe_checks = 0
+        self.probes = 0
         self._cell_width = cell_width
         self._shifts = shifts
         self._mixers = mixers
@@ -312,18 +307,18 @@ class NeighborhoodIndex(_LiveSet):
 
         The queried point may itself have been removed; it is then excluded
         like any other dead id.  An index with no live point returns at
-        once, and one without tables scans.  An index whose probe work has
-        passed L·n fills first (ski rental: the probes have then paid at
-        least the fill's cost).  A filled index answers a point alone in
-        all its L buckets with itself if live and nothing if dead, with no
-        probe; every other query is a probe.
+        once, and one without tables scans.  An index whose probes times
+        _PROBE_COST have passed L·n fills first (ski rental: the probes have
+        then cost about what the fill does).  A filled index answers a point
+        alone in all its L buckets with itself if live and nothing if dead,
+        with no probe; every other query is a probe.
         """
         if self.live_count == 0:
             return np.empty(0, dtype=np.int64)
         if self._shifts is None:
             dr = dists_from(self.ds.points, point_id)
             return np.flatnonzero(self.live & (dr <= self.radius))
-        if self._alone is None and self.probe_checks > self.num_tables * self.ds.n:
+        if self._alone is None and self.probes * _PROBE_COST > self.num_tables * self.ds.n:
             self.fill()
         if self._alone is not None and self._alone[point_id]:
             return np.array([point_id] if self.live[point_id] else [], dtype=np.int64)
@@ -340,6 +335,7 @@ class NeighborhoodIndex(_LiveSet):
 
     def _probe(self, point_id: int) -> np.ndarray:
         """The tables' answer for a point, from its key in each table; ascending."""
+        self.probes += 1
         points = self.ds.points
         tree = self.ds.tree
         w = self._cell_width
@@ -351,9 +347,6 @@ class NeighborhoodIndex(_LiveSet):
         box = (w + 2.0**-48 * (top + w)) * (1.0 + 2.0**-48)
         near = np.asarray(tree.query_ball_point(points[point_id], box, p=np.inf),
                           dtype=np.int64)
-        # The box query and the c·R filter read every point in the box once,
-        # dead ones included.
-        self.probe_checks += _PROBE_OVERHEAD + near.size
         rest = self._within_reach(near[self.live[near]], point_id)
         found = [rest[:0]]
         lo, step, ell = 0, _PROBE_FIRST_TABLES, self.num_tables
@@ -362,8 +355,6 @@ class NeighborhoodIndex(_LiveSet):
             shifts, mixers = self._shifts[lo:hi], self._mixers[lo:hi]
             home = _key_sums(points[point_id] + shifts, w, mixers, 1)
             keys = _key_sums(points[rest][:, None, :] + shifts, w, mixers, 2)
-            # The queried point's keys cost as much as one candidate's.
-            self.probe_checks += (rest.size + 1) * (hi - lo)
             hit = (keys == home).any(axis=1)
             found.append(rest[hit])
             rest = rest[~hit]
@@ -376,8 +367,8 @@ def build(ds: Dataset, radius: float, c: float = 5.0, delta: float | None = None
     """Construct a NeighborhoodIndex over the dataset.
 
     delta defaults to 1/n^2 (clamped below 1).  Deterministic given seed.
-    No bucket is computed here; the index fills its alone mask itself when
-    its probes have paid for that (NeighborhoodIndex.query).
+    No bucket is computed here; the index fills its alone mask itself once
+    its probe count passes the fill's price (NeighborhoodIndex.query).
     """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")

@@ -369,7 +369,7 @@ class TestCompaction:
     def test_full_ordering_reads_each_entry_at_most_twice(self, n):
         # A degenerate query returns the whole live part of its group and
         # the sweep kills it, so each group is read once: n entries at most.
-        # Grid indexes store no entries; their work is probe_checks.
+        # Grid indexes store no entries; their work is counted in probes.
         ds = mixture_dataset(n, 8, 16, 0.05, seed=n)
         params = ClusterParams(k=n, seed=1)
         scaled, info = normalize(ds, params.c)
@@ -417,12 +417,12 @@ class TestProbeFirst:
                 for index in (probe, eager, never):
                     index.remove_many(np.array(arg, dtype=np.int64))
             elif op == "tables":
-                filled, checks = _filled(probe), probe.probe_checks
+                filled, probes = _filled(probe), probe.probes
                 assert len(probe.tables) == probe.num_tables
-                assert _filled(probe) == filled and probe.probe_checks == checks
+                assert _filled(probe) == filled and probe.probes == probes
             else:
                 for p in ([arg] if op == "query" else range(n)):
-                    budget_passed = probe.probe_checks > probe.num_tables * n
+                    budget_passed = probe.probes * lsh._PROBE_COST > probe.num_tables * n
                     got = probe.query(p)
                     assert got.dtype == np.int64
                     want = eager.query(p)
@@ -439,25 +439,43 @@ class TestProbeFirst:
         eager.fill()
         budget = probe.num_tables * ds.n
         rng = np.random.default_rng(5)
-        probed = 0
-        checks_at_fill = None
+        probes_at_fill = None
         for step in range(3 * ds.n):
             if step % 10 == 9:
                 victims = rng.choice(ds.n, size=3, replace=False)
                 probe.remove_many(victims)
                 eager.remove_many(victims)
             p = step % ds.n
-            passed = probe.probe_checks > budget
-            probed += not passed
+            passed = probe.probes * lsh._PROBE_COST > budget
+            if passed and probes_at_fill is None:
+                probes_at_fill = probe.probes
             assert np.array_equal(probe.query(p), eager.query(p))
             assert _filled(probe) == passed
-            if passed and checks_at_fill is None:
-                checks_at_fill = probe.probe_checks
-        # Filled mid-sequence, after removals, by the budget alone; each of
-        # the probed queries was charged at least its fixed cost.  A point
-        # that shares a bucket is still probed after the fill.
-        assert 10 < probed <= budget // lsh._PROBE_OVERHEAD + 1
-        assert budget < checks_at_fill < probe.probe_checks
+        # Filled mid-sequence, after removals, by the budget alone, on the
+        # first query after probe ⌊L·n/_PROBE_COST⌋ + 1.  A point that
+        # shares a bucket is still probed after the fill.
+        assert probes_at_fill == budget // lsh._PROBE_COST + 1 > 10
+        assert probe.probes > probes_at_fill
+
+    def test_crowded_probes_do_not_buy_the_fill_early(self):
+        # One tight cluster, queried from its middle out: every probe's box
+        # holds dozens of points, each checked against many tables.  The
+        # fill's price is a probe count, so however much work those probes
+        # do, the index probes until probe ⌊L·n/_PROBE_COST⌋ + 1 and fills
+        # on the next query.
+        ds = uniform_dataset(400, 8, seed=0)
+        idx = lsh.build(ds, 0.25, c=5.0, seed=1)
+        budget = idx.num_tables * ds.n // lsh._PROBE_COST
+        order = np.argsort(np.abs(ds.points - 0.5).max(axis=1))[: budget + 2]
+        boxes = [len(ds.tree.query_ball_point(ds.points[p], idx._cell_width, p=np.inf))
+                 for p in order]
+        assert budget >= 10 and min(boxes) >= 12 and np.mean(boxes) >= 24
+        for p in order[:-1]:
+            idx.query(p)
+            assert not _filled(idx)
+        assert idx.probes == budget + 1
+        idx.query(order[-1])
+        assert _filled(idx)
 
     @pytest.mark.parametrize("mode", ["lsh", "exact", "all", "dup"])
     @pytest.mark.parametrize("filled", [False, True])
@@ -481,11 +499,11 @@ class TestProbeFirst:
             assert idx.live_count == ds.n - len(dead) == np.count_nonzero(idx.live)
         idx.remove_many(np.array([], dtype=np.int64))
         assert idx.live_count == 0
-        work = getattr(idx, "probe_checks", None), getattr(idx, "entries_scanned", None)
+        work = getattr(idx, "probes", None), getattr(idx, "entries_scanned", None)
         for p in range(ds.n):
             got = idx.query(p)
             assert got.dtype == np.int64 and got.size == 0
-        assert (getattr(idx, "probe_checks", None), getattr(idx, "entries_scanned", None)) == work
+        assert (getattr(idx, "probes", None), getattr(idx, "entries_scanned", None)) == work
         if isinstance(idx, lsh.NeighborhoodIndex):
             assert _filled(idx) == (filled and mode == "lsh")
 
@@ -496,16 +514,16 @@ class TestProbeFirst:
         idx = lsh.build(ds, 0.03, c=5.0, seed=3)
         idx.fill()
         assert idx._alone[3] and not idx._alone[0] and not idx._alone[1]
-        checks = idx.probe_checks
+        probes = idx.probes
         got = idx.query(3)
         assert got.dtype == np.int64 and got.tolist() == [3]
         idx.remove_many(np.array([3]))
         got = idx.query(3)
         assert got.dtype == np.int64 and got.size == 0
-        assert idx.probe_checks == checks
+        assert idx.probes == probes
         got = idx.query(0)
         assert {0, 1} <= set(got.tolist())
-        assert idx.probe_checks > checks
+        assert idx.probes == probes + 1
 
     def test_reading_tables_changes_nothing(self):
         # Read the tables every tenth step of a sequence that passes the
@@ -517,7 +535,7 @@ class TestProbeFirst:
             if step % 10 == 0:
                 assert len(read.tables) == read.num_tables
                 assert _filled(read) == _filled(twin)
-                assert read.probe_checks == twin.probe_checks
+                assert read.probes == twin.probes
             p = step % ds.n
             assert np.array_equal(read.query(p), twin.query(p))
         assert _filled(read) and _filled(twin)
@@ -537,18 +555,18 @@ class TestProbeFirst:
         first = greedy.run(short, 10)
         grid = [ix for ix in short.seq_indexes + short.rem_indexes
                 if isinstance(ix, lsh.NeighborhoodIndex)]
-        assert all(10 * lsh._PROBE_OVERHEAD <= ix.num_tables * n for ix in grid)
+        assert all(10 * lsh._PROBE_COST <= ix.num_tables * n for ix in grid)
         assert not any(_filled(ix) for ix in grid)
-        assert sum(ix.probe_checks for ix in grid) > 0
+        assert sum(ix.probes for ix in grid) > 0
 
         assert greedy.run_incremental(full).centers[:10] == first.centers
         removal = [ix for ix in full.rem_indexes if isinstance(ix, lsh.NeighborhoodIndex)]
         # Ran out of live points before its probes paid for a fill; a
         # further probe per remaining center would have passed L·n.
         exhausted = [ix for ix in removal
-                     if ix.live_count == 0 and ix.probe_checks <= ix.num_tables * n]
+                     if ix.live_count == 0 and ix.probes * lsh._PROBE_COST <= ix.num_tables * n]
         assert exhausted and not any(_filled(ix) for ix in exhausted)
-        assert all(n * lsh._PROBE_OVERHEAD > ix.num_tables * n for ix in exhausted)
+        assert all(n * lsh._PROBE_COST > ix.num_tables * n for ix in exhausted)
 
 
 class TestRadiusKind:

@@ -76,8 +76,8 @@ def test_pinned_runs_cover_every_index_kind():
 
 
 def test_full_d8_run_fills_a_grid_removal_index():
-    # A grid index fills once its probe work passes L·n, so the pinned
+    # A grid index fills once probes·_PROBE_COST passes L·n, so the pinned
     # ordering covers the filled query path as well as the probe.
     _, state = _full_d8_ordering()
     grid = [ix for ix in state.rem_indexes if isinstance(ix, lsh.NeighborhoodIndex)]
-    assert any(ix.probe_checks > ix.num_tables * ix.ds.n for ix in grid)
+    assert any(ix.probes * lsh._PROBE_COST > ix.num_tables * ix.ds.n for ix in grid)
