@@ -146,7 +146,11 @@ def generate_mixture(n: int, d: int, clusters: int, spread: float, seed: int) ->
     rng = np.random.default_rng(seed)
     means = rng.uniform(0.0, 1.0, size=(clusters, d))
     assign = rng.integers(0, clusters, size=n)
-    pts = means[assign] + spread * rng.standard_normal((n, d))
+    try:
+        with np.errstate(over="raise"):
+            pts = means[assign] + spread * rng.standard_normal((n, d))
+    except FloatingPointError:
+        raise UsageError(f"--spread {spread!r} puts coordinates beyond the float64 range") from None
     return Dataset(pts)
 
 

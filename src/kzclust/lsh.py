@@ -105,8 +105,8 @@ def num_tables(n: int, d: int, c: float, delta: float, num_levels: int = 1) -> i
 
     A pair at distance at most R misses a shared cell in all L tables with
     probability at most (1 - p)^L <= delta/(n·num_levels).  Raises ValueError
-    where p is not the worst case (c < 5 or d >= 0.99·c²), where p
-    underflows, and where L exceeds _MAX_TABLES.
+    where p is not the worst case (c < 5 or d >= 0.99·c²), where p is too
+    small to change 1 - p, and where L exceeds _MAX_TABLES.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
@@ -116,7 +116,16 @@ def num_tables(n: int, d: int, c: float, delta: float, num_levels: int = 1) -> i
             "project the data to a lower dimension first"
         )
     p = near_collision_probability(d, c)
-    raw = math.log(n * num_levels / delta) / -math.log1p(-p) if p > 0.0 else math.inf
+    # -ln(1 - p).  p's own rounding error, about 2^-53, is magnified by
+    # 1/(1 - p) in 1 - p, and p rounds to 1 from c ≈ 1e17; so past p = 0.9,
+    # 1 - p is formed as -expm1(ln p) with ln p = d·ln(1 - 1/c).  Up to 0.9
+    # log1p(-p) is as accurate, and it keeps L where an exact quotient falls
+    # on an integer (n=5, d=1, c=5: ln 125 / ln 5 = 3).
+    if p <= 0.9:
+        miss_rate = -math.log1p(-p)
+    else:
+        miss_rate = -math.log(-math.expm1(d * math.log1p(-1.0 / c)))
+    raw = math.log(n * num_levels / delta) / miss_rate if miss_rate > 0.0 else math.inf
     if raw > _MAX_TABLES:
         raise ValueError(
             f"table count {raw:.4g} for d={d}, c={c} is impractical; "

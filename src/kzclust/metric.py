@@ -32,6 +32,11 @@ from scipy.spatial.distance import cdist
 # Levels run from exponent 0 (radius delta) down to delta/(2c)^(m+7) = (2c)^-7.
 EXTRA_LEVELS = 8
 
+# The last radius is 1/(2c)^7.  At c = 4e43, (2c)^7 ≈ 2.1e307, so the last
+# radius stays a normal float64 (at least 2^-1022 ≈ 2.2e-308); from c ≈ 5.4e43,
+# (2c)^7 is not a float at all.
+MAX_C = 4e43
+
 # Unit roundoff of float64: fl(x) = x·(1 + t) with |t| <= 2^-53.
 _ROUNDOFF = 2.0**-53
 
@@ -90,6 +95,9 @@ class ClusterParams:
         if not (self.c >= 5 and math.isfinite(self.c)):
             raise ValueError(f"c must be finite and >= 5, got {self.c}; "
                              "the approximation guarantees assume c >= 5")
+        if not self.c <= MAX_C:
+            raise ValueError(f"c must be at most {MAX_C:g}, got {self.c!r}, so that the "
+                             "last radius, (2c)^-7, is a normal float64")
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,12 @@ simultaneously, inside
 
     R^z · |B(p, R) ∩ P| / 3  <=  value[p]  <=  3 R^z · |B(p, c·R) ∩ P|.
 
+The stream stops at the first table that leaves no point alone and whose
+every bucket maximum is the whole set's register maximum.  That is exact:
+no register can exceed the whole set's, and every point's registers have
+just reached it, so no later table could raise one.  On a coarse level,
+whose cells are as wide as the set, this is most often within a few tables.
+
 group_estimates is the same bucket step over a single partition, for the
 degenerate radii where one group already is the ball (lsh.radius_kind): the
 estimate then meets the sandwich for every point at once.
@@ -91,7 +97,7 @@ def exact_counts(ds: Dataset, radii: np.ndarray) -> np.ndarray:
 
 def _bucket_max(ranks: np.ndarray, order: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Register maxima per bucket of a CSR partition; shape (buckets, copies)."""
-    return np.maximum.reduceat(ranks[order], offsets[:-1], axis=0)
+    return np.maximum.reduceat(np.take(ranks, order, axis=0), offsets[:-1], axis=0)
 
 
 def group_estimates(groups: lsh.DuplicateGroups, seed: int) -> np.ndarray:
@@ -107,16 +113,22 @@ def compute_values(ds: Dataset, radius: float, c: float, z: float,
     """Estimated ball value at one radius for every point; shape (n,).
 
     The grid tables are those lsh.build draws from derive_seed(seed,
-    "tables"), streamed one at a time.
+    "tables"), streamed one at a time.  The stream stops early, with every
+    register at the whole set's maximum, once one table puts every point in
+    a shared bucket holding that maximum; the values are those of the full
+    stream, to the bit.
     """
     n = ds.n
     cell_width, shifts, mixers = lsh.draw_tables(n, ds.d, radius, c, delta,
                                                  derive_seed(seed, "tables"), num_levels)
     ranks = rank_matrix(np.arange(n), default_copies(n), derive_seed(seed, "ranks"))
+    top = ranks.max(axis=0)
     # Every point sits in its own bucket of every table (and there is at
     # least one), so its own ranks start the running maximum and only buckets
     # shared by two or more points can raise it.
     merged = ranks.copy()
+    # One t-byte void item per register row: a scatter then moves whole rows.
+    merged_rows = merged.view(np.dtype((np.void, merged.shape[1]))).reshape(-1)
     points_t = np.ascontiguousarray(ds.points.T)
     for shift, mix in zip(shifts, mixers):
         order, first = lsh.table_buckets(points_t, cell_width, shift, mix)
@@ -124,8 +136,14 @@ def compute_values(ds: Dataset, radius: float, c: float, z: float,
         members = order[shared]
         if len(members) == 0:
             continue
-        offsets = np.flatnonzero(np.append(first[shared], True))
-        bucket_max = _bucket_max(ranks, members, offsets)
-        merged[members] = np.maximum(merged[members],
-                                     np.repeat(bucket_max, np.diff(offsets), axis=0))
+        starts = first[shared]
+        bucket_max = _bucket_max(ranks, members, np.flatnonzero(np.append(starts, True)))
+        if len(members) == n and (bucket_max == top).all():
+            # Every point shares a bucket whose maximum is the whole set's,
+            # and no register exceeds it: no later table can raise one.
+            merged[:] = top
+            break
+        raised = np.take(merged, members, axis=0)
+        np.maximum(raised, np.take(bucket_max, np.cumsum(starts) - 1, axis=0), out=raised)
+        merged_rows[members] = raised.view(merged_rows.dtype).reshape(-1)
     return _median_estimate(merged) * radius**z

@@ -141,6 +141,17 @@ class TestGen:
         assert len(errors) == 1 and "spread" in errors[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["gen", "bench"])
+    def test_overflowing_spread_is_usage_error(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        sizes = ["--n", "8", "--d", "2"] if command == "gen" else ["--sizes", "64"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(command, *sizes, "--spread", "1e308", "--out", str(out)) == 2
+        errors = error_lines(capsys.readouterr().err)
+        assert len(errors) == 1 and errors[0].startswith("error: --spread 1e+308")
+        assert not out.exists()
+
     def test_round_trip_declared_shape(self, tmp_path):
         out = tmp_path / "mix.f32"
         assert run_cli("gen", "--n", "33", "--d", "5", "--format", "f32le",
@@ -208,6 +219,24 @@ class TestCluster:
         assert run_cli("cluster", str(p), "--k", "2", flag, value, "--out", str(out)) == 2
         errors = error_lines(capsys.readouterr().err)
         assert len(errors) == 1 and errors[0].startswith(f"error: {flag[2:]} must be")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["1e20", "4e43"])
+    def test_large_c_runs(self, tmp_path, value):
+        p, _ = write_instance(tmp_path)
+        out = tmp_path / "r.json"
+        assert run_cli("cluster", str(p), "--k", "3", "--c", value, "--out", str(out)) == 0
+        assert len(json.loads(out.read_text())["result"]["centers"]) == 3
+
+    @pytest.mark.parametrize("value", ["5e43", "6e43", "1e308"])
+    def test_c_beyond_the_radius_schedule_is_usage_error(self, tmp_path, capsys, value):
+        # The last radius, (2c)^-7, must be a normal float64.
+        p, _ = write_instance(tmp_path)
+        out = tmp_path / "r.json"
+        assert run_cli("cluster", str(p), "--k", "2", "--c", value, "--out", str(out)) == 2
+        errors = error_lines(capsys.readouterr().err)
+        assert len(errors) == 1 and errors[0].startswith("error: c must be at most 4e+43")
+        assert f"got {float(value)!r}" in errors[0]
         assert not out.exists()
 
     def test_unknown_mode_is_usage_error(self, tmp_path):

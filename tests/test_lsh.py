@@ -48,6 +48,16 @@ class TestBuild:
         assert idx.num_tables == expected
         assert lsh.num_tables(n, d, c, delta, num_levels) == expected
 
+    @pytest.mark.parametrize("c", [1e16, 1e17, 1e20, 4e43])
+    def test_num_tables_at_large_c(self, c):
+        # p = (1 - 1/c)^d rounds to 1 from c ≈ 1e17, where ln(1 - p) cannot
+        # be taken of p; for c ≫ d, -ln(1 - p) = ln(c/d) + O(d/c).
+        n, d, num_levels = 10**6, 8, 30
+        delta = 1.0 / n**2
+        expected = math.ceil(math.log(n * num_levels / delta) / math.log(c / d))
+        assert expected == (1 if c > 1e40 else 2)
+        assert lsh.num_tables(n, d, c, delta, num_levels) == expected
+
     def test_cell_width(self):
         ds = uniform_dataset(20, 4, seed=1)
         idx = lsh.build(ds, 0.5, c=5.0, seed=0)

@@ -4,15 +4,15 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kzclust import lsh, sketch
-from kzclust.metric import Dataset, dists_from, level_radii, normalize
+from kzclust.metric import Dataset, bbox_diagonal, dists_from, level_radii, normalize
 from kzclust.seeding import GOLDEN, MASK64, mix64
 
-from conftest import (exact_nval, reference_values, table_step_cases, uniform_dataset,
-                      with_duplicates)
+from conftest import (exact_nval, mixture_dataset, reference_values, table_step_cases,
+                      uniform_dataset, with_duplicates)
 
 
 def reference_rank(point_id: int, copy: int, seed: int) -> int:
@@ -187,6 +187,35 @@ class TestComputeValues:
             got = sketch.compute_values(ds, radius, c=5.0, z=2.0, seed=seed, num_levels=3)
             assert np.array_equal(got, reference_values(ds, radius, 5.0, 2.0, seed=seed,
                                                         num_levels=3))
+
+    @pytest.mark.parametrize("case_id, streamed", [("one-bucket", "one"), ("singletons", "all")])
+    def test_stream_stops_once_every_register_holds_the_maximum(self, monkeypatch, case_id,
+                                                                streamed):
+        # One table of the one-bucket case puts every point in one bucket,
+        # whose maximum is the whole set's; with no shared bucket, every
+        # table is streamed.
+        _, ds, radius, _ = next(case for case in table_step_cases() if case[0] == case_id)
+        calls = []
+        table_buckets = lsh.table_buckets
+        monkeypatch.setattr(lsh, "table_buckets",
+                            lambda *args: calls.append(1) or table_buckets(*args))
+        got = sketch.compute_values(ds, radius, c=5.0, z=2.0, seed=0, num_levels=3)
+        ell = lsh.num_tables(ds.n, ds.d, 5.0, 1.0 / ds.n**2, 3)
+        assert len(calls) == (1 if streamed == "one" else ell)
+        assert np.array_equal(got, reference_values(ds, radius, 5.0, 2.0, seed=0, num_levels=3))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 80), st.integers(1, 4), st.integers(1, 5),
+           st.sampled_from([0.01, 0.05, 0.2]), st.floats(0.1, 1.0), st.integers(0, 2**31))
+    def test_values_match_reference_near_the_diameter(self, n, d, clusters, spread, frac, seed):
+        # At radii from diag/10 to diag one table may or may not put every
+        # point in a bucket with the whole set's maximum, so the stream may
+        # stop at any table or run to the end.
+        ds = mixture_dataset(n, d, clusters, spread, seed)
+        radius = frac * bbox_diagonal(ds.points)
+        assume(radius > 0)
+        got = sketch.compute_values(ds, radius, c=5.0, z=2.0, seed=seed)
+        assert np.array_equal(got, reference_values(ds, radius, 5.0, 2.0, seed=seed))
 
     def test_deterministic(self):
         ds = uniform_dataset(80, 4, seed=23)
