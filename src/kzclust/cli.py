@@ -126,9 +126,15 @@ def write_dataset(ds: Dataset, path: str, fmt: str) -> None:
             for row in ds.points:
                 fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
     elif fmt == "f32le":
+        try:
+            with np.errstate(over="raise"):
+                payload = ds.points.astype("<f4").tobytes()
+        except FloatingPointError:
+            raise UsageError(f"{path}: a coordinate is beyond the float32 range; "
+                             "write csv instead") from None
         with open(path, "wb") as fh:
             fh.write(struct.pack("<II", ds.n, ds.d))
-            fh.write(ds.points.astype("<f4").tobytes())
+            fh.write(payload)
     else:
         raise UsageError(f"unknown format {fmt!r}")
 

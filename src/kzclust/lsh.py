@@ -44,18 +44,25 @@ builds them anew on each read.
 build draws an index's tables (draw_tables) and computes no bucket.  Its
 queries are probes, which compute the queried point's and nearby points'
 keys table by table and give the tables' answer (see NeighborhoodIndex);
-probes counts them.  The one purchase is the fill: one pass over the L
-tables, L·n table entries, that marks each point no table puts with
-another point.  A query for such a point answers [p] (or nothing once p is
-dead) with no probe, as nearly every removal query of a full ordering does
-once its index has filled.  The index fills once probes·_PROBE_COST passes
-L·n, where _PROBE_COST is one probe's measured time in fill entries; by the
-ski-rental argument (Karlin, Manasse, Rudolph and Sleator, Algorithmica
-1988) it then spends at most about twice what the cheaper of never filling
-and filling at once would have.  An index with no live point left answers
-at once, with no probe and no fill, so a removal index whose points run out
-before its probes pass the budget never fills, and a run that sends an
-index a few queries never fills it either.
+probes counts them.  The one purchase is the fill, which marks each point
+no table puts with another point.  It reads one KD-tree pass, which finds
+the near points (those with another point inside the probe's box), and
+the L tables' keys of the near points only: every other point shares no
+cell.  A query for a marked point answers [p] (or nothing once p is dead)
+with no probe, as nearly every removal query of a full ordering does once
+its index has filled.  The index fills once probes·_PROBE_COST passes L·n,
+where _PROBE_COST is one probe's measured time in table entries: the
+budget prices the fill's worst case, every point near, at L·n entries.  By
+the ski-rental argument (Karlin, Manasse, Rudolph and Sleator, Algorithmica
+1988) the index then spends at most about twice what the cheaper of never
+filling and filling at once would have, with the fill counted at that
+price.  A fill with few near points costs much less, and against its
+actual cost the factor is larger: in a full ordering of 16384 points (d=8
+mixture, 2-vCPU Xeon VM) the removal index that fills probed for about
+0.23 s, four times its 0.06 s fill, before buying it.  An index with no
+live point left answers at once, with no probe and no fill, so a removal
+index whose points run out before its probes pass the budget never fills,
+and a run that sends an index a few queries never fills it either.
 
 In "exact" mode there are no tables and a query scans the live points, so
 N = B(p, R) ∩ live; greedy.init builds such an index only at grid radii.
@@ -71,9 +78,10 @@ either mode.  Every index kind keeps one removal state (_LiveSet) and
 answers at once when no point is live.
 
 Concurrency: a grid query writes nothing but its index's probes counter,
-once the index's alone mask (the fill), and on the dataset's first probe
-the dataset's cached KD-tree (Dataset.tree); remove_many() writes the live
-mask.  Calls on one grid index must therefore not run concurrently.
+once each the index's box and alone mask (the fill), and on the dataset's
+first probe or fill the dataset's cached KD-tree (Dataset.tree), which the
+fill reads for its near points; remove_many() writes the live mask.  Calls
+on one grid index must therefore not run concurrently.
 A degenerate index's query writes only its entries_scanned counter, never
 the shared partition.
 """
@@ -82,6 +90,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -214,8 +223,9 @@ def table_buckets(points_t: np.ndarray, cell_width: float, shift: np.ndarray,
 _PROBE_FIRST_TABLES = 2
 _PROBE_CHUNK = 1 << 18
 
-# One probe's price in fill entries.  On a 2-vCPU Xeon VM a probe took
-# 60-140 us and the fill 48 ns per table entry, a ratio of about 2^11.
+# One probe's price in table entries.  On a 2-vCPU Xeon VM a probe took
+# 60-140 us and a fill over all n points 48 ns per table entry, a ratio of
+# about 2^11.
 _PROBE_COST = 1 << 11
 
 
@@ -257,8 +267,9 @@ class NeighborhoodIndex(_LiveSet):
     with one 64-bit key (about 2^-63 per pair) could be answered
     differently.
 
-    Its one other piece of state is the fill's n-long mask of the points
-    alone in all their L buckets, None until the fill (see query).
+    Its other state is the box's half-width (_box), computed at the first
+    probe or fill and shared by both, and the fill's n-long mask of the
+    points alone in all their L buckets, None until the fill (see query).
     """
 
     def __init__(self, ds: Dataset, radius: float, c: float, cell_width: float = 0.0,
@@ -277,12 +288,6 @@ class NeighborhoodIndex(_LiveSet):
     def num_tables(self) -> int:
         return 0 if self._shifts is None else len(self._shifts)
 
-    def _buckets(self):
-        """table_buckets of each table in turn: (shift, order, first)."""
-        points_t = np.ascontiguousarray(self.ds.points.T)
-        for shift, mixers in zip(self._shifts, self._mixers):
-            yield shift, *table_buckets(points_t, self._cell_width, shift, mixers)
-
     @property
     def tables(self) -> list[GridTable]:
         """The grid tables, each in its own bucket numbering, built anew on each read.
@@ -292,8 +297,10 @@ class NeighborhoodIndex(_LiveSet):
         if self._shifts is None:
             return []
         n = self.ds.n
+        points_t = np.ascontiguousarray(self.ds.points.T)
         tables = []
-        for shift, order, first in self._buckets():
+        for shift, mixers in zip(self._shifts, self._mixers):
+            order, first = table_buckets(points_t, self._cell_width, shift, mixers)
             point_bucket = np.empty(n, dtype=np.int32)
             point_bucket[order] = np.cumsum(first) - 1
             tables.append(GridTable(shift, self._cell_width, point_bucket,
@@ -301,15 +308,81 @@ class NeighborhoodIndex(_LiveSet):
                                     np.append(np.flatnonzero(first), n).astype(np.int32)))
         return tables
 
+    @cached_property
+    def _box(self) -> float:
+        """Chebyshev half-width around a point that holds every point sharing a cell with it.
+
+        Sharing a cell needs |x_i - y_i| < w in exact arithmetic.  The cell
+        step's rounding (shift, scale, floor) and the tree's differences
+        move that by a few ulps of the largest |coordinate| plus w at most,
+        far inside the slack.
+        """
+        tree = self.ds.tree
+        w = self._cell_width
+        top = max(np.abs(tree.mins).max(), np.abs(tree.maxes).max())
+        return (w + 2.0**-48 * (top + w)) * (1.0 + 2.0**-48)
+
+    def _near(self) -> np.ndarray:
+        """Ids with another point inside their box (see _box), ascending."""
+        box = self._box
+        # The tree's bound is strict and the box inclusive: bound one ulp up.
+        second, _ = self.ds.tree.query(self.ds.points, k=[2], p=np.inf,
+                                       distance_upper_bound=np.nextafter(box, np.inf))
+        return np.flatnonzero(second[:, 0] <= box)
+
     def fill(self) -> None:
-        """Mark, once, the points alone in all their L buckets; answers do not change."""
+        """Mark, once, the points alone in all their L buckets; answers do not change.
+
+        A point with no other point in its box (one KD-tree pass) shares no
+        cell and is alone.  A point that shares a bucket with a near point
+        is itself near, so the near points' own buckets decide the rest:
+        L·|near| table entries, not L·n.
+        """
         if self._shifts is None or self._alone is not None:
             return
+        near = self._near()
         alone = np.ones(self.ds.n, dtype=bool)
-        for _, order, first in self._buckets():
-            # Position i holds a bucket of one if it and position i + 1 start buckets.
-            alone[order] &= first & np.append(first[1:], True)
+        if near.size:
+            alone[near] = self._alone_among(near)
         self._alone = alone
+
+    def _alone_among(self, near: np.ndarray) -> np.ndarray:
+        """For each of the given ids, whether no other of them shares one of its L buckets.
+
+        Keys are computed a chunk of tables at a time, at most _PROBE_CHUNK
+        coordinates per chunk, so a small set takes few chunks and a large
+        one a table each.  Each row sorts its keys with the id packed into
+        the low b bits: a plain sort, which on 16k keys took a fifth of an
+        argsort's time or less (2-vCPU Xeon VM).  Equal keys then lie next
+        to each other.  Keys that differ only in their low b bits (about
+        2^(b-64) per pair) are caught, and that chunk compares whole keys
+        instead.
+        """
+        m = near.size
+        points_t = np.ascontiguousarray(self.ds.points[near].T)
+        b = np.uint64(max(1, (m - 1).bit_length()))
+        low = (np.uint64(1) << b) - np.uint64(1)
+        ids = np.arange(m, dtype=np.uint64)
+        shared = np.zeros(m, dtype=bool)
+        step = max(1, _PROBE_CHUNK // (m * self.ds.d))
+        for lo in range(0, self.num_tables, step):
+            shifts, mixers = self._shifts[lo : lo + step].T, self._mixers[lo : lo + step].T
+            keys = _key_sums(points_t[:, None, :] + shifts[:, :, None], self._cell_width,
+                             mixers[:, :, None], 0)
+            packed = keys & ~low | ids
+            packed.sort(axis=1)
+            order = (packed & low).astype(np.intp)
+            same = (packed[:, 1:] >> b) == (packed[:, :-1] >> b)
+            whole = np.take_along_axis(keys, order, axis=1)
+            if (whole[:, 1:] != whole[:, :-1])[same].any():
+                for row in keys:
+                    _, inverse, counts = np.unique(row, return_inverse=True, return_counts=True)
+                    shared |= counts[inverse] > 1
+                continue
+            # Both ids of each equal neighbouring pair of keys share a bucket.
+            shared[order[:, 1:][same]] = True
+            shared[order[:, :-1][same]] = True
+        return ~shared
 
     def query(self, point_id: int) -> np.ndarray:
         """Live ids within the sandwich around the stored point, ascending.
@@ -318,9 +391,10 @@ class NeighborhoodIndex(_LiveSet):
         like any other dead id.  An index with no live point returns at
         once, and one without tables scans.  An index whose probes times
         _PROBE_COST have passed L·n fills first (ski rental: the probes have
-        then cost about what the fill does).  A filled index answers a point
-        alone in all its L buckets with itself if live and nothing if dead,
-        with no probe; every other query is a probe.
+        then cost about what the fill costs when every point is near).  A
+        filled index answers a point alone in all its L buckets with itself
+        if live and nothing if dead, with no probe; every other query is a
+        probe.
         """
         if self.live_count == 0:
             return np.empty(0, dtype=np.int64)
@@ -346,15 +420,8 @@ class NeighborhoodIndex(_LiveSet):
         """The tables' answer for a point, from its key in each table; ascending."""
         self.probes += 1
         points = self.ds.points
-        tree = self.ds.tree
         w = self._cell_width
-        # Sharing a cell needs |x_i - y_i| < w in exact arithmetic.  The cell
-        # step's rounding (shift, scale, floor) and the tree's differences
-        # move that by a few ulps of the largest |coordinate| plus w at most,
-        # far inside the slack.
-        top = max(np.abs(tree.mins).max(), np.abs(tree.maxes).max())
-        box = (w + 2.0**-48 * (top + w)) * (1.0 + 2.0**-48)
-        near = np.asarray(tree.query_ball_point(points[point_id], box, p=np.inf),
+        near = np.asarray(self.ds.tree.query_ball_point(points[point_id], self._box, p=np.inf),
                           dtype=np.int64)
         rest = self._within_reach(near[self.live[near]], point_id)
         found = [rest[:0]]

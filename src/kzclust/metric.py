@@ -295,7 +295,9 @@ def _pow_2c(c: float, e: int) -> float:
     if abs(tc - ic) < 1e-9:
         if e >= 0:
             return float(ic**e)
-        return 1.0 / float(ic ** (-e))
+        # Python's int / int true division rounds once, correctly; dividing
+        # by a float power would round twice.
+        return 1 / ic ** (-e)
     return tc**e
 
 

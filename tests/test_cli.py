@@ -152,6 +152,16 @@ class TestGen:
         assert len(errors) == 1 and errors[0].startswith("error: --spread 1e+308")
         assert not out.exists()
 
+    def test_f32le_overflow_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "big.f32"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("gen", "--n", "4", "--d", "2", "--spread", "1e39",
+                           "--format", "f32le", "--out", str(out)) == 2
+        errors = error_lines(capsys.readouterr().err)
+        assert len(errors) == 1 and "float32 range" in errors[0]
+        assert not out.exists()
+
     def test_round_trip_declared_shape(self, tmp_path):
         out = tmp_path / "mix.f32"
         assert run_cli("gen", "--n", "33", "--d", "5", "--format", "f32le",

@@ -1,6 +1,7 @@
 """Neighborhood index: sandwich guarantees, removal, table-count formula."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -577,6 +578,100 @@ class TestProbeFirst:
                      if ix.live_count == 0 and ix.probes * lsh._PROBE_COST <= ix.num_tables * n]
         assert exhausted and not any(_filled(ix) for ix in exhausted)
         assert all(n * lsh._PROBE_COST > ix.num_tables * n for ix in exhausted)
+
+
+def _alone_reference(idx):
+    """Points alone in all their buckets, from table_buckets over all n points."""
+    alone = np.ones(idx.ds.n, dtype=bool)
+    for t in idx.tables:
+        alone &= np.diff(t.offsets)[t.point_bucket] == 1
+    return alone
+
+
+class TestNearFill:
+    """The fill reads one KD-tree pass and only the near points' keys."""
+
+    @staticmethod
+    def _fill(ds, radius, seed=0):
+        idx = lsh.build(ds, radius, c=5.0, seed=seed)
+        idx.fill()
+        assert np.array_equal(idx._alone, _alone_reference(idx))
+        return idx
+
+    # All tables in one chunk; one table a chunk; a few tables a chunk.
+    @pytest.mark.parametrize("chunk", [lsh._PROBE_CHUNK, 1, 256])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), d=st.sampled_from([1, 2, 3, 8]))
+    def test_matches_buckets_of_all_points(self, chunk, data, d):
+        n = data.draw(st.integers(1, 40))
+        distinct = data.draw(st.integers(1, n))
+        coords = data.draw(st.lists(st.integers(0, 9), min_size=distinct * d,
+                                    max_size=distinct * d))
+        rows = data.draw(st.lists(st.integers(0, distinct - 1), min_size=n, max_size=n))
+        ds = Dataset(np.array(coords, dtype=np.float64).reshape(distinct, d)[rows])
+        radius = data.draw(st.sampled_from([0.3, 0.7, 1.5, 4.0]))
+        with mock.patch.object(lsh, "_PROBE_CHUNK", chunk):
+            self._fill(ds, radius, data.draw(st.integers(0, 2**31)))
+
+    def test_keys_equal_above_the_packed_ids(self):
+        # Keys cut below 2^12 leave 5 bits above the 7 bits of packed ids
+        # (98 near points), so many unequal keys agree there and the whole
+        # keys must be compared.  Cut keys also join far cells, so the
+        # reference buckets the same ids by the same cut keys.
+        key_sums = lsh._key_sums
+        ds = uniform_dataset(200, 2, seed=3, scale=60.0)
+        idx = lsh.build(ds, 0.5, c=5.0, seed=1)
+        near = idx._near()
+        points_t = np.ascontiguousarray(ds.points[near].T)
+        want = np.ones(near.size, dtype=bool)
+        with mock.patch.object(lsh, "_key_sums", lambda *a: key_sums(*a) % np.uint64(1 << 12)):
+            got = idx._alone_among(near)
+            for shift, mixers in zip(idx._shifts, idx._mixers):
+                order, first = lsh.table_buckets(points_t, idx._cell_width, shift, mixers)
+                want[order] &= first & np.append(first[1:], True)
+        assert near.size == 98 and 0 < np.count_nonzero(want) < near.size
+        assert np.array_equal(got, want)
+
+    def test_exact_duplicates_are_never_alone(self):
+        ds = with_duplicates(300, 3, seed=2, dup_fraction=0.3)
+        idx = self._fill(ds, 0.01)
+        _, inverse, counts = np.unique(ds.points, axis=0, return_inverse=True,
+                                       return_counts=True)
+        repeated = counts[inverse.ravel()] > 1
+        assert repeated.any() and not idx._alone[repeated].any()
+
+    def test_box_edges(self):
+        # Pairs one cell width apart along an axis, exactly one box apart,
+        # one ulp inside it and one ulp outside it.  Anchors at ±100 fix the
+        # largest coordinate, and with it the box.
+        anchors = [[100.0, 100.0], [-100.0, -100.0]]
+        box = lsh.build(Dataset(np.array(anchors)), 1.0, c=5.0)._box
+        w = 5.0 / math.sqrt(2)
+        gaps = [w, box, np.nextafter(box, 0.0), np.nextafter(box, np.inf)]
+        pairs = [[[0.0, 20.0 * i], [gap, 20.0 * i]] for i, gap in enumerate(gaps)]
+        ds = Dataset(np.array(anchors + [row for pair in pairs for row in pair]))
+        for seed in range(20):
+            idx = self._fill(ds, 1.0, seed)
+            assert idx._box == box
+        assert idx._near().tolist() == [2, 3, 4, 5, 6, 7]
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    def test_extreme_magnitudes(self, scale):
+        rng = np.random.default_rng(4)
+        base = rng.uniform(-1.0, 1.0, size=(200, 3))
+        # Each of the first 100 rows gets a copy nudged by about a cell.
+        nudged = base[:100] + rng.uniform(-0.01, 0.01, size=(100, 3))
+        ds = Dataset(np.vstack([base, nudged]) * scale)
+        for seed in range(5):
+            idx = self._fill(ds, 0.004 * scale, seed)
+        assert 0 < np.count_nonzero(idx._alone) < ds.n
+
+    def test_isolated_points_compute_no_key(self):
+        ds = Dataset(100.0 * np.arange(60, dtype=np.float64).reshape(20, 3))
+        idx = lsh.build(ds, 1.0, c=5.0, seed=1)
+        with mock.patch.object(lsh, "_key_sums", side_effect=AssertionError("key computed")):
+            idx.fill()
+        assert idx._near().size == 0 and idx._alone.all()
 
 
 class TestRadiusKind:

@@ -297,6 +297,13 @@ class TestLevelRadii:
             for lvl, radius in enumerate(radii):
                 assert radius == float(Fraction(2 * c) ** (info.delta_exponent - lvl))
 
+    def test_negative_powers_round_once(self):
+        # 1.0 / float((2c)^k) rounds twice; 2986 of these radii came out one
+        # ulp off, the first at c = 95.5, e = -7.
+        for tc in range(10, 5000):
+            for e in range(-7, 0):
+                assert metric._pow_2c(tc / 2, e) == float(Fraction(1, tc ** -e)), (tc, e)
+
     def test_first_radius_covers_diameter(self):
         ds = uniform_dataset(40, 4, seed=9)
         scaled, info = normalize(ds, 5.0)
