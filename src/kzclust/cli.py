@@ -174,35 +174,34 @@ def run_pipeline(ds: Dataset, params: ClusterParams, mode: str, delta: float | N
                  eval_ks: list[int], algorithm: str = "greedy") -> dict:
     """normalize -> optional projection -> init -> run -> prefix costs.
 
+    The kmeanspp baseline draws its centers from the input coordinates and
+    skips normalize and projection; its report gives normalization null.
     Prefix costs are evaluated on the input coordinates, so a report can be
     re-checked against the original file.  Returns the report dict.
     """
-    timings: dict[str, float] = {}
-    t0 = time.perf_counter()
-    scaled, info = normalize(ds, params.c)
-    timings["normalize_s"] = time.perf_counter() - t0
-
-    target = None
-    if not no_project:
-        target = project_dim if project_dim is not None else _auto_projection_dim(ds.n, ds.d)
-        if target is not None and target >= scaled.d:
-            target = None
-    t0 = time.perf_counter()
-    if target is not None:
-        projected = jl_project(scaled, target, derive_seed(params.seed, "project"))
-        # Projection distorts distances, so the scale/radius schedule is
-        # re-derived on the projected coordinates before indexing.
-        scaled, info = normalize(projected, params.c)
-    timings["project_s"] = time.perf_counter() - t0
-
+    timings = dict.fromkeys(("normalize_s", "project_s", "init_s"), 0.0)
+    target = info = None
     if algorithm == "kmeanspp":
         t0 = time.perf_counter()
         centers = oracles.kmeanspp(ds, params.k, params.z, params.seed)
-        timings["init_s"] = 0.0
         timings["greedy_s"] = time.perf_counter() - t0
         solution = greedy.Solution(centers=centers, traces=[], early_terminated=False,
                                    achieved_k=len(centers))
     else:
+        t0 = time.perf_counter()
+        scaled, info = normalize(ds, params.c)
+        timings["normalize_s"] = time.perf_counter() - t0
+        if not no_project:
+            target = project_dim if project_dim is not None else _auto_projection_dim(ds.n, ds.d)
+            if target is not None and target >= scaled.d:
+                target = None
+        t0 = time.perf_counter()
+        if target is not None:
+            projected = jl_project(scaled, target, derive_seed(params.seed, "project"))
+            # Projection distorts distances, so the scale/radius schedule is
+            # re-derived on the projected coordinates before indexing.
+            scaled, info = normalize(projected, params.c)
+        timings["project_s"] = time.perf_counter() - t0
         t0 = time.perf_counter()
         state = greedy.init(scaled, params, info, mode=mode, delta=delta)
         timings["init_s"] = time.perf_counter() - t0
@@ -229,7 +228,7 @@ def run_pipeline(ds: Dataset, params: ClusterParams, mode: str, delta: float | N
         },
         "input": {"n": ds.n, "d": ds.d},
         "projection": {"applied": target is not None, "target_dim": target},
-        "normalization": {
+        "normalization": None if info is None else {
             "scale": info.scale,
             "delta": info.delta,
             "num_levels": info.num_levels,
@@ -330,6 +329,8 @@ def _check_delta(delta: float | None) -> None:
 def _cmd_cluster(args) -> int:
     if args.no_project and args.project_dim is not None:
         raise UsageError("--project-dim and --no-project conflict; give at most one")
+    if args.algorithm == "kmeanspp" and args.project_dim is not None:
+        raise UsageError("--project-dim and --algorithm kmeanspp conflict; give at most one")
     ds = ingest(args.input, args.format)
     params = _make_params(args, ds.n)
     eval_ks = _parse_eval_ks(args.eval_k, args.k)

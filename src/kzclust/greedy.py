@@ -133,8 +133,8 @@ def init(ds: Dataset, params: ClusterParams, info: ScaleInfo, mode: str = "lsh",
          delta: float | None = None) -> GreedyState:
     """Preprocess a normalized dataset: values, availability, index families.
 
-    In lsh mode value estimation streams its grid tables one at a time
-    (sketch.compute_values) and keeps none; exact mode counts the balls.
+    In lsh mode value estimation streams its grid tables a chunk of tables
+    at a time (sketch.compute_values) and keeps none; exact mode counts the balls.
     One recipe builds every index in both modes: a degenerate radius gets
     lsh.degenerate_index, and a grid radius lsh.build in the run's mode.
     The retained lsh grid indexes start unfilled and fill their alone masks

@@ -34,12 +34,12 @@ distance at most R in the same cell:
   Just below c² it can win too; the same enumeration saw the first such
   d at 0.9968·c².  num_tables rejects c < 5 and d >= 0.99·c².
 
-A table buckets the points by a 64-bit mixed key of their cell
-(table_buckets) and numbers its buckets in key order.  The order of ids
-inside a bucket is unspecified: queries deduplicate their candidates and
-value estimation takes maxima, so nothing reads it.  No index keeps its
-tables' buckets: value estimation streams them, and NeighborhoodIndex.tables
-builds them anew on each read.
+table_buckets, the one bucketing step, keys each point by its cell (64-bit
+mixed) a chunk of tables at a time and numbers a table's buckets in key
+order.  The order of ids inside a bucket is unspecified: queries deduplicate
+their candidates and value estimation takes maxima, so nothing reads it.  No
+index keeps its tables' buckets: value estimation streams them, the fill
+reads them once and NeighborhoodIndex.tables builds them anew on each read.
 
 build draws an index's tables (draw_tables) and computes no bucket.  Its
 queries are probes, which compute the queried point's and nearby points'
@@ -47,10 +47,10 @@ keys table by table and give the tables' answer (see NeighborhoodIndex);
 probes counts them.  The one purchase is the fill, which marks each point
 no table puts with another point.  It reads one KD-tree pass, which finds
 the near points (those with another point inside the probe's box), and
-the L tables' keys of the near points only: every other point shares no
-cell.  A query for a marked point answers [p] (or nothing once p is dead)
-with no probe, as nearly every removal query of a full ordering does once
-its index has filled.  The index fills once probes·_PROBE_COST passes L·n,
+buckets the near points only: every other point shares no cell.  A query
+for a marked point answers [p] (or nothing once p is dead) with no probe,
+as nearly every removal query of a full ordering does once its index has
+filled.  The index fills once probes·_PROBE_COST passes L·n,
 where _PROBE_COST is one probe's measured time in table entries: the
 budget prices the fill's worst case, every point near, at L·n entries.  By
 the ski-rental argument (Karlin, Manasse, Rudolph and Sleator, Algorithmica
@@ -89,6 +89,7 @@ the shared partition.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -134,7 +135,11 @@ def num_tables(n: int, d: int, c: float, delta: float, num_levels: int = 1) -> i
         miss_rate = -math.log1p(-p)
     else:
         miss_rate = -math.log(-math.expm1(d * math.log1p(-1.0 / c)))
-    raw = math.log(n * num_levels / delta) / miss_rate if miss_rate > 0.0 else math.inf
+    # The quotient overflows for delta below about n·num_levels·5.6e-309, and
+    # only there is its log split (elsewhere a split could move L by rounding).
+    ratio = n * num_levels / delta
+    ratio_log = math.log(ratio) if ratio < math.inf else math.log(n * num_levels) - math.log(delta)
+    raw = ratio_log / miss_rate if miss_rate > 0.0 else math.inf
     if raw > _MAX_TABLES:
         raise ValueError(
             f"table count {raw:.4g} for d={d}, c={c} is impractical; "
@@ -180,6 +185,14 @@ def draw_tables(n: int, d: int, radius: float, c: float, delta: float | None, se
     return cell_width, shifts, mixers
 
 
+# The probe checks its first candidates against 2 tables, then twice as many
+# each round.  A probe round or table_buckets chunk holds at most _PROBE_CHUNK
+# coordinates (or one table): 2^15 float64 coordinates and their keys fit a
+# 2 MB L2 cache, 2^18 did not (16384 points, d=8, 172 tables: 127 against 224 ms).
+_PROBE_FIRST_TABLES = 2
+_PROBE_CHUNK = 1 << 15
+
+
 def _key_sums(cells: np.ndarray, cell_width: float, mixers: np.ndarray, axis: int) -> np.ndarray:
     """Unmixed cell keys: sum_i floor(cells_i / w)·m_i mod 2^64 along axis.
 
@@ -194,14 +207,16 @@ def _key_sums(cells: np.ndarray, cell_width: float, mixers: np.ndarray, axis: in
     return np.add.reduce(keys, axis=axis)
 
 
-def table_buckets(points_t: np.ndarray, cell_width: float, shift: np.ndarray,
-                  mixers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bucket the points by their cell in one shifted grid: (order, first).
+def table_buckets(points_t: np.ndarray, cell_width: float, shifts: np.ndarray,
+                  mixers: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Bucket the points by their cell in each shifted grid, a chunk of tables at a time.
 
-    points_t is the (d, n) transpose of the points, so every coordinate's
-    row is contiguous.  order holds the point ids sorted by cell key, and
-    first[i] is True where order[i] starts a new bucket.  Buckets are
-    numbered in key order; the order of ids inside a bucket is unspecified.
+    points_t is the (d, m) transpose of the points, so every coordinate's
+    row is contiguous; shifts and mixers are (L, d).  Yields (order, first)
+    per chunk, both (tables, m): a row of order holds the point ids sorted
+    by that table's cell key, and first[r, i] is True where order[r, i]
+    starts a new bucket.  Buckets are numbered in key order; the order of
+    ids inside a bucket is unspecified.
     """
     # 64-bit mixed cell key: sum_i cell_i·m_i mod 2^64, then SplitMix64 (a
     # bijection).  Two distinct cells collide only where sum_i Δ_i·m_i = 0
@@ -209,19 +224,30 @@ def table_buckets(points_t: np.ndarray, cell_width: float, shift: np.ndarray,
     # distance filter keeps a collision harmless.  An xor fold would merge
     # cells whose odd coordinates flip sign in pairs, since -x = ~x ^ 1 for
     # odd x, for every mixer draw.
-    folded = mix64_array(_key_sums(points_t + shift[:, None], cell_width, mixers[:, None], 0))
-    order = np.argsort(folded)
-    sorted_keys = folded[order]
-    first = np.empty(len(order), dtype=bool)
-    first[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
-    return order, first
+    d, m = points_t.shape
+    b = np.uint64(max(1, (m - 1).bit_length()))
+    low = (np.uint64(1) << b) - np.uint64(1)
+    ids = np.arange(m, dtype=np.uint64)
+    step = max(1, _PROBE_CHUNK // (m * d))
+    for lo in range(0, len(shifts), step):
+        shift, mix = shifts[lo : lo + step].T, mixers[lo : lo + step].T
+        keys = mix64_array(_key_sums(points_t[:, None, :] + shift[:, :, None], cell_width,
+                                     mix[:, :, None], 0))
+        # Each row sorts its keys with the id packed into the low b bits, a plain
+        # sort: on 16k keys a fifth of an argsort's time or less (2-vCPU Xeon VM).
+        packed = keys & ~low | ids
+        packed.sort(axis=1)
+        order = (packed & low).astype(np.intp)
+        first = np.ones(order.shape, dtype=bool)
+        np.not_equal(packed[:, 1:] >> b, packed[:, :-1] >> b, out=first[:, 1:])
+        # Distinct keys that agree above the low b bits (about 2^(b-64) per
+        # pair) would share a bucket: that chunk sorts its whole keys instead.
+        whole = np.take_along_axis(keys, order, axis=1)
+        if ((whole[:, 1:] != whole[:, :-1]) & ~first[:, 1:]).any():
+            order = np.argsort(keys, axis=1)
+            first[:, 1:] = np.diff(np.take_along_axis(keys, order, axis=1)) != 0
+        yield order, first
 
-
-# The probe checks its first candidates against 2 tables, then twice as many
-# each round, with at most this many candidate coordinates per round.
-_PROBE_FIRST_TABLES = 2
-_PROBE_CHUNK = 1 << 18
 
 # One probe's price in table entries.  On a 2-vCPU Xeon VM a probe took
 # 60-140 us and a fill over all n points 48 ns per table entry, a ratio of
@@ -296,16 +322,16 @@ class NeighborhoodIndex(_LiveSet):
         """
         if self._shifts is None:
             return []
-        n = self.ds.n
-        points_t = np.ascontiguousarray(self.ds.points.T)
         tables = []
-        for shift, mixers in zip(self._shifts, self._mixers):
-            order, first = table_buckets(points_t, self._cell_width, shift, mixers)
-            point_bucket = np.empty(n, dtype=np.int32)
+        chunks = table_buckets(np.ascontiguousarray(self.ds.points.T), self._cell_width,
+                               self._shifts, self._mixers)
+        rows = (row for chunk in chunks for row in zip(*chunk))
+        for shift, (order, first) in zip(self._shifts, rows):
+            point_bucket = np.empty_like(order, dtype=np.int32)
             point_bucket[order] = np.cumsum(first) - 1
             tables.append(GridTable(shift, self._cell_width, point_bucket,
                                     order.astype(np.int32),
-                                    np.append(np.flatnonzero(first), n).astype(np.int32)))
+                                    np.append(np.flatnonzero(first), first.size).astype(np.int32)))
         return tables
 
     @cached_property
@@ -341,48 +367,18 @@ class NeighborhoodIndex(_LiveSet):
         if self._shifts is None or self._alone is not None:
             return
         near = self._near()
-        alone = np.ones(self.ds.n, dtype=bool)
+        shared = np.zeros(near.size, dtype=bool)
         if near.size:
-            alone[near] = self._alone_among(near)
+            points_t = np.ascontiguousarray(self.ds.points[near].T)
+            for order, first in table_buckets(points_t, self._cell_width, self._shifts,
+                                              self._mixers):
+                # An id is alone where buckets start at it and right after it (or the row ends).
+                single = first.copy()
+                single[:, :-1] &= first[:, 1:]
+                shared[order[~single]] = True
+        alone = np.ones(self.ds.n, dtype=bool)
+        alone[near[shared]] = False
         self._alone = alone
-
-    def _alone_among(self, near: np.ndarray) -> np.ndarray:
-        """For each of the given ids, whether no other of them shares one of its L buckets.
-
-        Keys are computed a chunk of tables at a time, at most _PROBE_CHUNK
-        coordinates per chunk, so a small set takes few chunks and a large
-        one a table each.  Each row sorts its keys with the id packed into
-        the low b bits: a plain sort, which on 16k keys took a fifth of an
-        argsort's time or less (2-vCPU Xeon VM).  Equal keys then lie next
-        to each other.  Keys that differ only in their low b bits (about
-        2^(b-64) per pair) are caught, and that chunk compares whole keys
-        instead.
-        """
-        m = near.size
-        points_t = np.ascontiguousarray(self.ds.points[near].T)
-        b = np.uint64(max(1, (m - 1).bit_length()))
-        low = (np.uint64(1) << b) - np.uint64(1)
-        ids = np.arange(m, dtype=np.uint64)
-        shared = np.zeros(m, dtype=bool)
-        step = max(1, _PROBE_CHUNK // (m * self.ds.d))
-        for lo in range(0, self.num_tables, step):
-            shifts, mixers = self._shifts[lo : lo + step].T, self._mixers[lo : lo + step].T
-            keys = _key_sums(points_t[:, None, :] + shifts[:, :, None], self._cell_width,
-                             mixers[:, :, None], 0)
-            packed = keys & ~low | ids
-            packed.sort(axis=1)
-            order = (packed & low).astype(np.intp)
-            same = (packed[:, 1:] >> b) == (packed[:, :-1] >> b)
-            whole = np.take_along_axis(keys, order, axis=1)
-            if (whole[:, 1:] != whole[:, :-1])[same].any():
-                for row in keys:
-                    _, inverse, counts = np.unique(row, return_inverse=True, return_counts=True)
-                    shared |= counts[inverse] > 1
-                continue
-            # Both ids of each equal neighbouring pair of keys share a bucket.
-            shared[order[:, 1:][same]] = True
-            shared[order[:, :-1][same]] = True
-        return ~shared
 
     def query(self, point_id: int) -> np.ndarray:
         """Live ids within the sandwich around the stored point, ascending.

@@ -142,7 +142,8 @@ def _unit_scaled(points: np.ndarray) -> tuple[np.ndarray, int]:
 def cost(ds: Dataset, centers: Sequence[int], z: float) -> float:
     """Clustering cost: sum over points of (distance to nearest center)^z.
 
-    Raises DataRangeError when the sum exceeds the float64 range.
+    Raises DataRangeError when the sum exceeds the float64 range, or when
+    some point is off every center and the sum is below the smallest normal.
     """
     center_ids = np.asarray(list(centers), dtype=np.int64)
     if center_ids.size == 0:
@@ -153,6 +154,8 @@ def cost(ds: Dataset, centers: Sequence[int], z: float) -> float:
         total = float(np.sum(nearest**z))
     if not math.isfinite(total):
         raise DataRangeError(f"the clustering cost at z={z:g} is too large for float64")
+    if total < sys.float_info.min and nearest.any():
+        raise DataRangeError(f"the clustering cost at z={z:g} is too small for float64")
     return total
 
 

@@ -12,10 +12,10 @@ with probability 2/3 per copy, boosted by the median.
 compute_values runs this path for one radius R: each point's registers are
 the union over every grid table of a radius-R neighborhood index of its
 bucket's, and its value is their estimate times R^z.  It streams the tables
-lsh.build would draw, one at a time, and builds no index: each point's own
-ranks start its registers, so only the buckets that two or more points
-share are reduced.  With probability 1 - delta this lands, for all points
-simultaneously, inside
+lsh.build would draw, a chunk of tables at a time (lsh.table_buckets), and
+builds no index: each point's own ranks start its registers, so only the
+buckets that two or more points share are reduced.  With probability
+1 - delta this lands, for all points simultaneously, inside
 
     R^z · |B(p, R) ∩ P| / 3  <=  value[p]  <=  3 R^z · |B(p, c·R) ∩ P|.
 
@@ -113,7 +113,7 @@ def compute_values(ds: Dataset, radius: float, c: float, z: float,
     """Estimated ball value at one radius for every point; shape (n,).
 
     The grid tables are those lsh.build draws from derive_seed(seed,
-    "tables"), streamed one at a time.  The stream stops early, with every
+    "tables"), streamed a chunk of tables at a time.  The stream stops early, with every
     register at the whole set's maximum, once one table puts every point in
     a shared bucket holding that maximum; the values are those of the full
     stream, to the bit.
@@ -129,9 +129,8 @@ def compute_values(ds: Dataset, radius: float, c: float, z: float,
     merged = ranks.copy()
     # One t-byte void item per register row: a scatter then moves whole rows.
     merged_rows = merged.view(np.dtype((np.void, merged.shape[1]))).reshape(-1)
-    points_t = np.ascontiguousarray(ds.points.T)
-    for shift, mix in zip(shifts, mixers):
-        order, first = lsh.table_buckets(points_t, cell_width, shift, mix)
+    chunks = lsh.table_buckets(np.ascontiguousarray(ds.points.T), cell_width, shifts, mixers)
+    for order, first in (row for chunk in chunks for row in zip(*chunk)):
         shared = ~(first & np.append(first[1:], True))
         members = order[shared]
         if len(members) == 0:

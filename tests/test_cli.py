@@ -322,6 +322,42 @@ class TestCluster:
         report = json.loads(out.read_text())
         assert len(report["result"]["centers"]) == 3
 
+    def test_kmeanspp_neither_normalizes_nor_projects(self, tmp_path):
+        # Auto-projection would plan 24 dimensions for d=30, n=6.
+        p, _ = write_instance(tmp_path, n=6, d=30, seed=2)
+        out = tmp_path / "r.json"
+        assert run_cli("cluster", str(p), "--k", "2", "--algorithm", "kmeanspp",
+                       "--out", str(out)) == 0
+        report = json.loads(out.read_text())
+        assert report["projection"] == {"applied": False, "target_dim": None}
+        assert report["normalization"] is None
+
+    def test_kmeanspp_clusters_a_range_normalize_cannot_scale(self, tmp_path, capsys):
+        rows = np.random.default_rng(3).standard_normal((10, 2))
+        rows[:5] *= 1e-150
+        rows[5:] *= 1e150
+        p = tmp_path / "wide.csv"
+        cli.write_dataset(cli.Dataset(rows), str(p), "csv")
+        out = tmp_path / "r.json"
+        assert run_cli("cluster", str(p), "--k", "2", "--algorithm", "kmeanspp",
+                       "--out", str(out)) == 0
+        assert run_cli("eval", str(out), str(p)) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "match"
+
+    def test_kmeanspp_with_project_dim_is_usage_error(self, tmp_path, capsys):
+        p, _ = write_instance(tmp_path, n=20, d=30, seed=2)
+        out = tmp_path / "r.json"
+        assert run_cli("cluster", str(p), "--k", "2", "--algorithm", "kmeanspp",
+                       "--project-dim", "3", "--out", str(out)) == 2
+        errors = error_lines(capsys.readouterr().err)
+        assert len(errors) == 1 and "--project-dim" in errors[0] and "kmeanspp" in errors[0]
+        assert not out.exists()
+
+    def test_subnormal_delta_failure_runs(self, tmp_path):
+        # n·num_levels/delta overflows; the table count (1038 here) does not.
+        p, _ = write_instance(tmp_path, n=200, d=3, seed=1)
+        assert run_cli("cluster", str(p), "--k", "3", "--delta-failure", "1e-320") == 0
+
     def test_eval_k_prefixes(self, tmp_path):
         p, ds = write_instance(tmp_path)
         out = tmp_path / "r.json"
@@ -369,6 +405,33 @@ class TestCostOverflow:
         assert "match" not in captured.out.split()
         errors = error_lines(captured.err)
         assert len(errors) == 1 and "too large" in errors[0]
+
+
+class TestCostUnderflow:
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160])
+    def test_cluster_is_data_error(self, tmp_path, capsys, scale):
+        rows = np.random.default_rng(0).standard_normal((300, 3)) * scale
+        p = tmp_path / "tiny.csv"
+        cli.write_dataset(cli.Dataset(rows), str(p), "csv")
+        out = tmp_path / "r.json"
+        assert run_cli("cluster", str(p), "--k", "5", "--eval-k", "1,5", "--out", str(out)) == 3
+        errors = error_lines(capsys.readouterr().err)
+        assert len(errors) == 1 and "too small" in errors[0]
+        assert not out.exists()
+
+    def test_eval_is_data_error(self, tmp_path, capsys):
+        # The report an underflowing cost used to give, and that eval matched.
+        rows = np.random.default_rng(0).standard_normal((300, 3)) * 1e-300
+        p = tmp_path / "tiny.csv"
+        cli.write_dataset(cli.Dataset(rows), str(p), "csv")
+        out = tmp_path / "r.json"
+        out.write_text('{"input": {"n": 300, "d": 3}, "params": {"z": 2.0}, '
+                       '"result": {"centers": [0], "prefix_costs": {"1": 0.0}}}')
+        assert run_cli("eval", str(out), str(p)) == 3
+        captured = capsys.readouterr()
+        assert "match" not in captured.out.split()
+        errors = error_lines(captured.err)
+        assert len(errors) == 1 and "too small" in errors[0]
 
 
 class TestProjection:

@@ -49,6 +49,16 @@ class TestBuild:
         assert idx.num_tables == expected
         assert lsh.num_tables(n, d, c, delta, num_levels) == expected
 
+    def test_num_tables_at_subnormal_delta(self):
+        # n·num_levels/delta overflows at delta = 1e-320; the difference of
+        # logs does not.
+        n, d, c, num_levels = 200, 3, 5.0, 10
+        miss_rate = -math.log1p(-((1 - 1 / c) ** d))
+        expected = math.ceil((math.log(n * num_levels) - math.log(1e-320)) / miss_rate)
+        assert expected == 1038
+        assert lsh.num_tables(n, d, c, 1e-320, num_levels) == expected
+        assert lsh.num_tables(n, d, c, 1e-300, num_levels) < expected
+
     @pytest.mark.parametrize("c", [1e16, 1e17, 1e20, 4e43])
     def test_num_tables_at_large_c(self, c):
         # p = (1 - 1/c)^d rounds to 1 from c ≈ 1e17, where ln(1 - p) cannot
@@ -129,6 +139,60 @@ class TestTableBuckets:
                 assert _bucket_members(table.order, table.offsets) == _bucket_members(order, offsets)
 
 
+class TestChunkedBuckets:
+    """table_buckets, a chunk of tables at a time, against the reference tables."""
+
+    # One table a chunk; a few tables a chunk; the default.
+    @pytest.mark.parametrize("chunk", [1, 256, 1 << 15])
+    @pytest.mark.parametrize("case", table_step_cases(), ids=lambda case: case[0])
+    def test_matches_reference(self, chunk, case):
+        _, ds, radius, _ = case
+        points_t = np.ascontiguousarray(ds.points.T)
+        for seed in (0, 1):
+            cell_width, shifts, mixers = lsh.draw_tables(ds.n, ds.d, radius, 5.0, None, seed, 3)
+            with mock.patch.object(lsh, "_PROBE_CHUNK", chunk):
+                chunks = list(lsh.table_buckets(points_t, cell_width, shifts, mixers))
+            rows = [row for chunk_rows in chunks for row in zip(*chunk_rows)]
+            ref = reference_tables(ds, radius, 5.0, seed=seed, num_levels=3)
+            assert len(rows) == len(ref)
+            if chunk == 1:
+                assert len(chunks) == len(ref)
+            for (order, first), (ref_order, _, offsets) in zip(rows, ref):
+                assert np.array_equal(np.append(np.flatnonzero(first), ds.n), offsets)
+                assert _bucket_members(order, offsets) == _bucket_members(ref_order, offsets)
+
+    @pytest.mark.parametrize("chunk", [1, 1 << 15])
+    def test_keys_equal_above_the_packed_ids(self, chunk):
+        # Mixed keys cut below 2^12 leave 5 bits above the 7 bits of packed
+        # ids (98 points), so many unequal keys agree there and the whole keys
+        # must be compared.  The reference buckets the same ids by the same
+        # cut keys.
+        mix = lsh.mix64_array
+
+        def cut(keys):
+            return mix(keys) % np.uint64(1 << 12)
+
+        ds = uniform_dataset(200, 2, seed=3, scale=60.0)
+        idx = lsh.build(ds, 0.5, c=5.0, seed=1)
+        near = idx._near()
+        points_t = np.ascontiguousarray(ds.points[near].T)
+        w, shifts, mixers = idx._cell_width, idx._shifts, idx._mixers
+        with mock.patch.object(lsh, "mix64_array", cut), \
+                mock.patch.object(lsh, "_PROBE_CHUNK", chunk):
+            rows = [row for chunk_rows in lsh.table_buckets(points_t, w, shifts, mixers)
+                    for row in zip(*chunk_rows)]
+        clashes = 0
+        for (order, first), shift, mixer in zip(rows, shifts, mixers):
+            keys = cut(lsh._key_sums(points_t + shift[:, None], w, mixer[:, None], 0))
+            ref = np.argsort(keys, kind="stable")
+            starts = np.append(True, keys[ref][1:] != keys[ref][:-1])
+            offsets = np.append(np.flatnonzero(starts), near.size)
+            assert np.array_equal(np.append(np.flatnonzero(first), near.size), offsets)
+            assert _bucket_members(order, offsets) == _bucket_members(ref, offsets)
+            clashes += len(np.unique(keys >> np.uint64(7))) < len(np.unique(keys))
+        assert near.size == 98 and len(rows) == idx.num_tables and clashes > 0
+
+
 class TestCellKeys:
     def test_mirrored_cells_get_distinct_buckets(self):
         # Cells (-1, -1) and (1, 1), and (-1, 3) and (1, -3): an xor fold of
@@ -136,10 +200,10 @@ class TestCellKeys:
         # -x = ~x ^ 1 for odd x.
         points_t = np.array([[-0.5, 1.5, -0.5, 1.5], [-0.5, 1.5, 3.5, -2.5]])
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            mixers = rng.integers(0, 1 << 63, size=2, dtype=np.uint64) * np.uint64(2) + np.uint64(1)
-            _, first = lsh.table_buckets(points_t, 1.0, np.zeros(2), mixers)
-            assert first.all()
+        odd = rng.integers(0, 1 << 63, size=(50, 2), dtype=np.uint64) * np.uint64(2) + np.uint64(1)
+        chunks = list(lsh.table_buckets(points_t, 1.0, np.zeros((50, 2)), odd))
+        assert sum(len(first) for _, first in chunks) == 50
+        assert all(first.all() for _, first in chunks)
 
 
 def _collision_rate(diff, cell_width, trials, rng, chunk=25_000):
@@ -612,25 +676,6 @@ class TestNearFill:
         radius = data.draw(st.sampled_from([0.3, 0.7, 1.5, 4.0]))
         with mock.patch.object(lsh, "_PROBE_CHUNK", chunk):
             self._fill(ds, radius, data.draw(st.integers(0, 2**31)))
-
-    def test_keys_equal_above_the_packed_ids(self):
-        # Keys cut below 2^12 leave 5 bits above the 7 bits of packed ids
-        # (98 near points), so many unequal keys agree there and the whole
-        # keys must be compared.  Cut keys also join far cells, so the
-        # reference buckets the same ids by the same cut keys.
-        key_sums = lsh._key_sums
-        ds = uniform_dataset(200, 2, seed=3, scale=60.0)
-        idx = lsh.build(ds, 0.5, c=5.0, seed=1)
-        near = idx._near()
-        points_t = np.ascontiguousarray(ds.points[near].T)
-        want = np.ones(near.size, dtype=bool)
-        with mock.patch.object(lsh, "_key_sums", lambda *a: key_sums(*a) % np.uint64(1 << 12)):
-            got = idx._alone_among(near)
-            for shift, mixers in zip(idx._shifts, idx._mixers):
-                order, first = lsh.table_buckets(points_t, idx._cell_width, shift, mixers)
-                want[order] &= first & np.append(first[1:], True)
-        assert near.size == 98 and 0 < np.count_nonzero(want) < near.size
-        assert np.array_equal(got, want)
 
     def test_exact_duplicates_are_never_alone(self):
         ds = with_duplicates(300, 3, seed=2, dup_fraction=0.3)

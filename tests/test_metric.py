@@ -57,6 +57,16 @@ class TestCost:
         with pytest.raises(ValueError):
             cost(ds, [], 2.0)
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160])
+    def test_underflowing_cost_is_data_error(self, scale):
+        # At 1e-300 every squared distance rounds to 0; at 1e-160 the sum is
+        # subnormal.  With every point a center the cost is exactly 0.
+        ds = Dataset(np.random.default_rng(0).standard_normal((300, 3)) * scale)
+        for centers in ([0], [0, 1, 2, 3, 4]):
+            with pytest.raises(DataRangeError, match="too small"):
+                cost(ds, centers, 2.0)
+        assert cost(ds, range(300), 2.0) == 0.0
+
 
 class TestNormalize:
     def test_two_points_half_apart(self):

@@ -195,13 +195,19 @@ class TestComputeValues:
         # whose maximum is the whole set's; with no shared bucket, every
         # table is streamed.
         _, ds, radius, _ = next(case for case in table_step_cases() if case[0] == case_id)
-        calls = []
+        consumed = []
         table_buckets = lsh.table_buckets
-        monkeypatch.setattr(lsh, "table_buckets",
-                            lambda *args: calls.append(1) or table_buckets(*args))
+
+        def one_table_at_a_time(*args):
+            for order, first in table_buckets(*args):
+                for row in range(len(order)):
+                    consumed.append(row)
+                    yield order[row : row + 1], first[row : row + 1]
+
+        monkeypatch.setattr(lsh, "table_buckets", one_table_at_a_time)
         got = sketch.compute_values(ds, radius, c=5.0, z=2.0, seed=0, num_levels=3)
         ell = lsh.num_tables(ds.n, ds.d, 5.0, 1.0 / ds.n**2, 3)
-        assert len(calls) == (1 if streamed == "one" else ell)
+        assert len(consumed) == (1 if streamed == "one" else ell)
         assert np.array_equal(got, reference_values(ds, radius, 5.0, 2.0, seed=0, num_levels=3))
 
     @settings(max_examples=40, deadline=None)
