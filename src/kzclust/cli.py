@@ -175,7 +175,8 @@ def run_pipeline(ds: Dataset, params: ClusterParams, mode: str, delta: float | N
     """normalize -> optional projection -> init -> run -> prefix costs.
 
     The kmeanspp baseline draws its centers from the input coordinates and
-    skips normalize and projection; its report gives normalization null.
+    skips normalize and projection; its report gives normalization, c, mode
+    and delta_failure null.
     Prefix costs are evaluated on the input coordinates, so a report can be
     re-checked against the original file.  Returns the report dict.
     """
@@ -215,15 +216,16 @@ def run_pipeline(ds: Dataset, params: ClusterParams, mode: str, delta: float | N
         if 1 <= kk <= solution.achieved_k
     }
     timings["total_s"] = sum(timings.values())
+    greedy_run = algorithm == "greedy"
 
     return {
         "params": {
             "k": params.k,
             "z": params.z,
-            "c": params.c,
+            "c": params.c if greedy_run else None,
             "seed": params.seed,
-            "mode": mode,
-            "delta_failure": delta,
+            "mode": mode if greedy_run else None,
+            "delta_failure": delta if greedy_run else None,
             "algorithm": algorithm,
         },
         "input": {"n": ds.n, "d": ds.d},
@@ -277,8 +279,9 @@ def run_bench(sizes: list[int], d: int, k: int, z: float, c: float, seed: int,
 def _print_cluster_summary(report: dict) -> None:
     p = report["params"]
     r = report["result"]
-    print(f"n={report['input']['n']} d={report['input']['d']} "
-          f"k={p['k']} z={p['z']} c={p['c']} mode={p['mode']} seed={p['seed']}")
+    fields = " ".join(f"{key}={p[key]}" for key in ("k", "z", "c", "mode", "seed")
+                      if p[key] is not None)
+    print(f"n={report['input']['n']} d={report['input']['d']} {fields}")
     print(f"centers ({r['achieved_k']}{', early-terminated' if r['early_terminated'] else ''}): "
           + " ".join(str(cid) for cid in r["centers"][:20])
           + (" ..." if len(r["centers"]) > 20 else ""))
@@ -312,8 +315,9 @@ def _parse_eval_ks(spec: str | None, k: int) -> list[int]:
 
 def _make_params(args, n: int) -> ClusterParams:
     # ClusterParams checks k, z and c; main maps its ValueError to exit 2.
-    params = ClusterParams(k=args.k, z=args.z, c=args.c, seed=args.seed)
-    if params.c == 5:
+    given = {} if args.c is None else {"c": args.c}
+    params = ClusterParams(k=args.k, z=args.z, seed=args.seed, **given)
+    if params.c == 5 and args.algorithm == "greedy":
         print("note: c=5 is the smallest supported trade-off value", file=sys.stderr)
     if params.k > n:
         raise UsageError(f"k={params.k} exceeds the dataset size n={n}")
@@ -329,14 +333,22 @@ def _check_delta(delta: float | None) -> None:
 def _cmd_cluster(args) -> int:
     if args.no_project and args.project_dim is not None:
         raise UsageError("--project-dim and --no-project conflict; give at most one")
-    if args.algorithm == "kmeanspp" and args.project_dim is not None:
-        raise UsageError("--project-dim and --algorithm kmeanspp conflict; give at most one")
+    if args.project_dim is not None and args.project_dim < 1:
+        raise UsageError(f"--project-dim must be >= 1, got {args.project_dim}")
+    if args.algorithm == "kmeanspp":
+        # k-means++ reads none of the greedy algorithm's flags.
+        for flag, value in (("--mode", args.mode), ("--c", args.c),
+                            ("--delta-failure", args.delta_failure),
+                            ("--project-dim", args.project_dim),
+                            ("--no-project", args.no_project or None)):
+            if value is not None:
+                raise UsageError(f"{flag} and --algorithm kmeanspp conflict; give at most one")
     ds = ingest(args.input, args.format)
     params = _make_params(args, ds.n)
     eval_ks = _parse_eval_ks(args.eval_k, args.k)
     if any(kk > args.k for kk in eval_ks):
         raise UsageError("--eval-k entries must not exceed k")
-    report = run_pipeline(ds, params, args.mode, args.delta_failure,
+    report = run_pipeline(ds, params, args.mode or "lsh", args.delta_failure,
                           args.project_dim, args.no_project, eval_ks, args.algorithm)
     _print_cluster_summary(report)
     if args.out:
@@ -447,9 +459,10 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("input")
     cluster.add_argument("--k", type=int, required=True)
     cluster.add_argument("--z", type=float, default=2.0)
-    cluster.add_argument("--c", type=float, default=5.0)
+    cluster.add_argument("--c", type=float, default=None, help="trade-off (default 5)")
     cluster.add_argument("--seed", type=int, default=0)
-    cluster.add_argument("--mode", choices=["exact", "lsh"], default="lsh")
+    cluster.add_argument("--mode", choices=["exact", "lsh"], default=None,
+                         help="index mode (default lsh)")
     cluster.add_argument("--delta-failure", type=float, default=None,
                          help="index failure probability (default 1/n^2)")
     cluster.add_argument("--project-dim", type=int, default=None)

@@ -16,7 +16,7 @@ Each iteration pops the available ball with the largest value, walks it down
 one level at a time -- always moving to the neighbor whose next-level ball
 has the largest value -- until the minimum radius, emits that ball's point
 as a center, and then sweeps every level's removal index around the new
-center, clearing the availability of every returned ball.
+center; the removal indexes' live masks are the one availability record.
 
 Stopping after k iterations yields a k-center solution; the walk never looks
 at k, so every prefix of the full ordering is the k-stopped solution.
@@ -68,42 +68,37 @@ class AvailableSet:
     """All (point, level) balls ordered by value, with lazy deletion.
 
     Values are frozen at init and every ball enters exactly once, so a
-    descending presort plus a cursor is the whole priority structure: a
-    popped maximum is re-checked against the availability bits and skipped
-    if a removal sweep already cleared it.  Ties break toward the smallest
-    point id, then the smallest level.
+    descending presort plus a cursor is the whole priority structure.  A
+    ball (p, level) is available while the cursor has not passed it and p
+    is live in that level's removal index; live holds those indexes' masks
+    as rows, read flat.  Ties break toward the smallest point id, then the
+    smallest level.
     """
 
-    def __init__(self, values: np.ndarray):
+    def __init__(self, values: np.ndarray, live: np.ndarray):
         self.num_levels, self.n = values.shape
-        total = self.num_levels * self.n
         ids = np.tile(np.arange(self.n), self.num_levels)
         levels = np.repeat(np.arange(self.num_levels), self.n)
         self._order = np.lexsort((levels, ids, -values.ravel()))
-        self._avail = np.ones(total, dtype=bool)
+        self._live = live.reshape(-1)
         self._cursor = 0
-
-    def clear_many(self, points: np.ndarray, level: int) -> None:
-        self._avail[level * self.n + np.asarray(points)] = False
-
-    def available_mask(self, points: np.ndarray, level: int) -> np.ndarray:
-        return self._avail[level * self.n + np.asarray(points)]
 
     def pop(self) -> BallRef | None:
         """Consume and return the largest available ball, or None.
 
-        Cleared balls are skipped a window at a time, each window twice the
-        last, since a removal sweep can clear long runs of the presort.
+        Removed balls are skipped a window at a time, each window twice the
+        last, since a removal sweep can remove long runs of the presort.  A
+        ball is popped only at the cursor, which never moves back, so a pop
+        writes nothing.
         """
         width = 64
-        while self._cursor < len(self._order) and not self._avail[self._order[self._cursor]]:
-            window = self._avail[self._order[self._cursor : self._cursor + width]]
+        while self._cursor < len(self._order) and not self._live[self._order[self._cursor]]:
+            window = self._live[self._order[self._cursor : self._cursor + width]]
             self._cursor += int(window.argmax()) if window.any() else len(window)
             width *= 2
         if self._cursor == len(self._order):
             return None
         flat = self._order[self._cursor]
-        self._avail[flat] = False
         self._cursor += 1
         return BallRef(int(flat % self.n), int(flat // self.n))
 
@@ -117,7 +112,7 @@ class GreedyState:
         self.params = params
         self.info = info
         self.values = values
-        self.avail = AvailableSet(values)
+        self.avail = AvailableSet(values, lsh.share_live(rem_indexes))
         self.seq_indexes = seq_indexes
         self.rem_indexes = rem_indexes
         self.centers: list[int] = []
@@ -195,8 +190,10 @@ def descend(state: GreedyState, head: BallRef) -> tuple[int, list[BallRef]]:
     At each level the candidates are the sequence-index neighbors of the
     current point at radius 10c·R -- unfiltered by availability -- and the
     next ball is the candidate maximizing the value one level down, ties to
-    the smallest point id.  The current point always collides with itself,
-    so the candidate set is never empty, and a lone candidate is the point.
+    the smallest point id: every index answers in ascending id order, so
+    that is the first maximum.  The current point always collides with
+    itself, so the candidate set is never empty, and a lone candidate is
+    the point.
     """
     trace = [head]
     point, level = head.point, head.level
@@ -204,8 +201,7 @@ def descend(state: GreedyState, head: BallRef) -> tuple[int, list[BallRef]]:
     while level < last:
         candidates = state.seq_indexes[level].query(point)
         if candidates.size > 1:
-            vals = state.values[level + 1, candidates]
-            point = int(candidates[np.lexsort((candidates, -vals))[0]])
+            point = int(candidates[state.values[level + 1, candidates].argmax()])
         level += 1
         trace.append(BallRef(point, level))
     return point, trace
@@ -214,15 +210,14 @@ def descend(state: GreedyState, head: BallRef) -> tuple[int, list[BallRef]]:
 def remove_around(state: GreedyState, center_id: int) -> None:
     """Sweep every level's removal index around a just-emitted center.
 
-    Each returned point has its ball at that level made unavailable and is
-    deleted from that removal index (and only that one); sequence indexes
+    Each returned point is deleted from that removal index (and only that
+    one), which makes its ball at that level unavailable; sequence indexes
     are never touched, and values are never re-estimated.
     """
     for lvl in range(state.num_levels):
         index = state.rem_indexes[lvl]
         hit = index.query(center_id)
         if hit.size:
-            state.avail.clear_many(hit, lvl)
             index.remove_many(hit)
 
 

@@ -256,7 +256,11 @@ _PROBE_COST = 1 << 11
 
 
 class _LiveSet:
-    """Removal state of every index kind: live, its exact live_count, remove_many."""
+    """Removal state of every index kind: live, its exact live_count, remove_many.
+
+    live is only ever written in place, so it may be a row of a caller's
+    array (share_live) that then reads every removal.
+    """
 
     def __init__(self, n: int):
         self.live = np.ones(n, dtype=bool)
@@ -275,6 +279,20 @@ class _LiveSet:
             ids = np.unique(ids)
         self.live[ids] = False
         self.live_count -= ids.size
+
+
+def share_live(indexes: list) -> np.ndarray:
+    """Make each index's live mask a row of one (len(indexes), n) array; return it.
+
+    The rows start as copies of the masks.  An index is shared once: a second
+    call would leave the first array reading stale masks, so it raises.
+    """
+    if any(index.live.base is not None for index in indexes):
+        raise ValueError("an index's live mask is already shared")
+    live = np.stack([index.live for index in indexes])
+    for index, row in zip(indexes, live):
+        index.live = row
+    return live
 
 
 class NeighborhoodIndex(_LiveSet):

@@ -139,17 +139,29 @@ def _unit_scaled(points: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(points, -e), e
 
 
+# cost takes max(1, _COST_BLOCK // n) centers at a time: at most
+# max(n, _COST_BLOCK) point-center distances.
+_COST_BLOCK = 1 << 20
+
+
 def cost(ds: Dataset, centers: Sequence[int], z: float) -> float:
     """Clustering cost: sum over points of (distance to nearest center)^z.
 
-    Raises DataRangeError when the sum exceeds the float64 range, or when
-    some point is off every center and the sum is below the smallest normal.
+    The nearest distances are a running minimum over blocks of centers, at
+    most max(n, _COST_BLOCK) distances each; cdist computes every pair on
+    its own, so the blocks change no bit.  Raises DataRangeError when the sum
+    exceeds the float64 range, or when some point is off every center and
+    the sum is below the smallest normal.
     """
     center_ids = np.asarray(list(centers), dtype=np.int64)
     if center_ids.size == 0:
         raise ValueError("center set must be nonempty")
     pts, e = _unit_scaled(ds.points)
-    nearest = np.ldexp(cdist(pts, pts[center_ids]).min(axis=1), e)
+    step = max(1, _COST_BLOCK // len(pts))
+    nearest = cdist(pts, pts[center_ids[:step]]).min(axis=1)
+    for lo in range(step, center_ids.size, step):
+        np.minimum(nearest, cdist(pts, pts[center_ids[lo : lo + step]]).min(axis=1), out=nearest)
+    nearest = np.ldexp(nearest, e)
     with np.errstate(over="ignore"):
         total = float(np.sum(nearest**z))
     if not math.isfinite(total):

@@ -137,7 +137,7 @@ class QueryLog:
     Events are (iteration, level, ids), iterations counted from 1.  An
     iteration's center is the point its level-0 removal query names, and
     unavailable_candidate_hits counts candidates whose ball one level down
-    was already unavailable when the query returned.
+    was already popped or removed when the query returned.
     """
 
     candidate_events: list = field(default_factory=list)
@@ -147,12 +147,21 @@ class QueryLog:
 
 
 def record_queries(state: greedy.GreedyState) -> QueryLog:
-    """Wrap query on every index of a fresh state; return the log the run fills."""
+    """Wrap pop and every index's query on a fresh state; return the log the run fills."""
     log = QueryLog()
+    popped = set()
+    pop = state.avail.pop
+
+    def logged_pop():
+        ball = pop()
+        popped.add(ball)
+        return ball
 
     def on_candidates(level, point_id, ids):
         log.candidate_events.append((state.iteration, level, ids))
-        log.unavailable_candidate_hits += int((~state.avail.available_mask(ids, level + 1)).sum())
+        removed = ~state.rem_indexes[level + 1].live[ids]
+        log.unavailable_candidate_hits += sum(
+            bool(gone) or greedy.BallRef(int(p), level + 1) in popped for p, gone in zip(ids, removed))
 
     def on_removal(level, point_id, ids):
         if level == 0:
@@ -169,6 +178,7 @@ def record_queries(state: greedy.GreedyState) -> QueryLog:
 
         index.query = logged
 
+    state.avail.pop = logged_pop
     for level, index in enumerate(state.seq_indexes):
         wrap(index, level, on_candidates)
     for level, index in enumerate(state.rem_indexes):

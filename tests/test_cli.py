@@ -353,6 +353,37 @@ class TestCluster:
         assert len(errors) == 1 and "--project-dim" in errors[0] and "kmeanspp" in errors[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", [("--mode", "exact"), ("--c", "1"), ("--c", "6"),
+                                      ("--delta-failure", "0.3"), ("--no-project",)],
+                             ids="".join)
+    def test_kmeanspp_with_a_greedy_flag_is_usage_error(self, tmp_path, capsys, flag):
+        p, _ = write_instance(tmp_path, n=20)
+        out = tmp_path / "r.json"
+        assert run_cli("cluster", str(p), "--k", "2", "--algorithm", "kmeanspp", *flag,
+                       "--out", str(out)) == 2
+        errors = error_lines(capsys.readouterr().err)
+        assert len(errors) == 1 and flag[0] in errors[0] and "kmeanspp" in errors[0]
+        assert not out.exists()
+
+    def test_kmeanspp_records_no_greedy_parameters(self, tmp_path, capsys):
+        p, _ = write_instance(tmp_path, n=20)
+        out = tmp_path / "r.json"
+        assert run_cli("cluster", str(p), "--k", "2", "--algorithm", "kmeanspp",
+                       "--out", str(out)) == 0
+        captured = capsys.readouterr()
+        assert "note:" not in captured.err
+        assert "mode=" not in captured.out and "c=" not in captured.out
+        params = json.loads(out.read_text())["params"]
+        assert params["c"] is None and params["mode"] is None
+        assert params["delta_failure"] is None
+
+    @pytest.mark.parametrize("dim", ["0", "-2"])
+    def test_nonpositive_project_dim_is_usage_error_before_reading(self, tmp_path, capsys, dim):
+        missing = tmp_path / "absent.csv"
+        assert run_cli("cluster", str(missing), "--k", "2", "--project-dim", dim) == 2
+        errors = error_lines(capsys.readouterr().err)
+        assert len(errors) == 1 and "--project-dim" in errors[0]
+
     def test_subnormal_delta_failure_runs(self, tmp_path):
         # n·num_levels/delta overflows; the table count (1038 here) does not.
         p, _ = write_instance(tmp_path, n=200, d=3, seed=1)

@@ -11,9 +11,8 @@ from conftest import exact_nval, logged_solve, record_queries, uniform_dataset, 
 
 
 def available_balls(state):
-    """Number of available (point, level) balls."""
-    ids = np.arange(state.ds.n)
-    return sum(int(state.avail.available_mask(ids, lvl).sum()) for lvl in range(state.num_levels))
+    """Number of (point, level) balls whose point is live in that level's removal index."""
+    return sum(int(index.live.sum()) for index in state.rem_indexes)
 
 
 def exact_state(ds, params):
@@ -85,6 +84,46 @@ class TestInit:
         with pytest.raises(ValueError):
             greedy.init(scaled, params, info, mode="fast")
 
+    def test_removal_indexes_back_one_state_only(self):
+        # A second state over the same indexes would leave the first one's
+        # availability reading masks that no longer change.
+        ds = uniform_dataset(8, 2, seed=3)
+        params = ClusterParams(k=2, seed=0)
+        state, scaled, info = exact_state(ds, params)
+        with pytest.raises(ValueError, match="already shared"):
+            greedy.GreedyState(scaled, params, info, state.values, state.seq_indexes,
+                               state.rem_indexes)
+
+
+class TestPop:
+    def test_pop_skips_a_ball_the_removal_index_alone_killed(self):
+        ds = uniform_dataset(12, 2, seed=2)
+        params = ClusterParams(k=3, seed=0)
+        ref, _, _ = exact_state(ds, params)
+        state, _, _ = exact_state(ds, params)
+        head = ref.avail.pop()
+        state.rem_indexes[head.level].remove_many(np.array([head.point]))
+        got = state.avail.pop()
+        assert got != head
+        assert got == ref.avail.pop()
+
+    def test_popped_ball_stays_live_and_is_not_popped_again(self):
+        ds = uniform_dataset(12, 2, seed=2)
+        params = ClusterParams(k=3, seed=0)
+        state, _, info = exact_state(ds, params)
+        head = state.avail.pop()
+        assert state.rem_indexes[head.level].live[head.point]
+        other = (head.level + 1) % info.num_levels
+        state.rem_indexes[other].remove_many(np.arange(0, ds.n, 2))
+        rest = []
+        while (ball := state.avail.pop()) is not None:
+            rest.append(ball)
+        assert state.rem_indexes[head.level].live[head.point]
+        live = {greedy.BallRef(p, lvl) for lvl, index in enumerate(state.rem_indexes)
+                for p in np.flatnonzero(index.live)}
+        assert len(rest) == len(set(rest))
+        assert set(rest) == live - {head}
+
 
 class TestDescend:
     def test_singleton_descends_all_levels(self):
@@ -135,7 +174,7 @@ class TestRemoveAround:
         state, _, info = exact_state(ds, params)
         sol = greedy.run(state, 2)
         for cid in sol.centers:
-            assert not state.avail.available_mask(np.array([cid]), info.num_levels - 1)[0]
+            assert not state.rem_indexes[info.num_levels - 1].live[cid]
 
     def test_availability_bitmap_matches_replay(self):
         ds = uniform_dataset(30, 2, seed=10)
@@ -148,19 +187,18 @@ class TestRemoveAround:
         # removal structure at the time each center was emitted.
         n = scaled.n
         radii = level_radii(info, params.c)
-        avail = np.ones((info.num_levels, n), dtype=bool)
-        live = [np.ones(n, dtype=bool) for _ in range(info.num_levels)]
+        live = np.ones((info.num_levels, n), dtype=bool)
         for cid in sol.centers:
             for lvl in range(info.num_levels):
                 reach = 100.0 * params.c**4 * float(radii[lvl])
                 hit = np.flatnonzero(live[lvl] & (dists_from(scaled.points, cid) <= reach))
-                avail[lvl, hit] = False
-                live[lvl][hit] = False
-        got = np.stack([state.avail.available_mask(np.arange(n), lvl)
-                        for lvl in range(info.num_levels)])
-        # The run also consumes each popped head; in exact mode those heads
-        # are inside the removal reach, so the bitmaps agree exactly.
-        assert np.array_equal(got, avail)
+                live[lvl, hit] = False
+        got = np.stack([index.live for index in state.rem_indexes])
+        assert np.array_equal(got, live)
+        # In exact mode every popped head lies inside its removal reach, so
+        # the sweeps retire it too.
+        for trace in sol.traces:
+            assert not state.rem_indexes[trace[0].level].live[trace[0].point]
 
 
 class TestRun:

@@ -2,12 +2,14 @@
 
 import math
 import os
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from kzclust import metric
 from kzclust.metric import (
@@ -66,6 +68,28 @@ class TestCost:
             with pytest.raises(DataRangeError, match="too small"):
                 cost(ds, centers, 2.0)
         assert cost(ds, range(300), 2.0) == 0.0
+
+    @pytest.mark.parametrize("block", [1, 100, 1000, 1 << 20])
+    def test_blocks_match_one_distance_matrix(self, monkeypatch, block):
+        monkeypatch.setattr(metric, "_COST_BLOCK", block)
+        for n, d, k, seed in [(50, 2, 7, 1), (300, 5, 300, 2), (97, 3, 13, 3)]:
+            ds = uniform_dataset(n, d, seed=seed)
+            centers = np.random.default_rng(seed).permutation(n)[:k]
+            pts, e = metric._unit_scaled(ds.points)
+            nearest = np.ldexp(cdist(pts, pts[centers]).min(axis=1), e)
+            for z in (1.0, 2.0):
+                assert cost(ds, centers, z) == float(np.sum(nearest**z))
+
+    def test_all_points_as_centers_stay_within_memory(self):
+        # One 4000 x 4000 distance matrix alone would take 128 MB.
+        ds = uniform_dataset(4000, 2, seed=5)
+        tracemalloc.start()
+        try:
+            assert cost(ds, range(4000), 2.0) == 0.0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestNormalize:
