@@ -256,7 +256,7 @@ def fit_loglog_slope(sizes: list[int], times: list[float]) -> float | None:
 
 
 def run_bench(sizes: list[int], d: int, k: int, z: float, c: float, seed: int,
-              clusters: int, spread: float, mode: str = "lsh",
+              clusters: int, spread: float, mode: str = greedy.DEFAULT_MODE,
               delta: float | None = None) -> dict:
     """Cluster each size with fixed params; report timings and fitted slope."""
     rows = []
@@ -348,7 +348,7 @@ def _cmd_cluster(args) -> int:
     eval_ks = _parse_eval_ks(args.eval_k, args.k)
     if any(kk > args.k for kk in eval_ks):
         raise UsageError("--eval-k entries must not exceed k")
-    report = run_pipeline(ds, params, args.mode or "lsh", args.delta_failure,
+    report = run_pipeline(ds, params, args.mode or greedy.DEFAULT_MODE, args.delta_failure,
                           args.project_dim, args.no_project, eval_ks, args.algorithm)
     _print_cluster_summary(report)
     if args.out:
@@ -462,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--c", type=float, default=None, help="trade-off (default 5)")
     cluster.add_argument("--seed", type=int, default=0)
     cluster.add_argument("--mode", choices=["exact", "lsh"], default=None,
-                         help="index mode (default lsh)")
+                         help=f"index mode (default {greedy.DEFAULT_MODE})")
     cluster.add_argument("--delta-failure", type=float, default=None,
                          help="index failure probability (default 1/n^2)")
     cluster.add_argument("--project-dim", type=int, default=None)
@@ -489,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--clusters", type=int, default=16)
     bench.add_argument("--spread", type=float, default=0.05)
-    bench.add_argument("--mode", choices=["exact", "lsh"], default="lsh")
+    bench.add_argument("--mode", choices=["exact", "lsh"], default=greedy.DEFAULT_MODE)
     bench.add_argument("--delta-failure", type=float, default=None)
     bench.add_argument("--out", default=None)
     bench.set_defaults(func=_cmd_bench)

@@ -41,6 +41,9 @@ from .seeding import derive_seed
 
 logger = logging.getLogger(__name__)
 
+# The index mode of init and solve, and of `kzclust cluster` and `kzclust bench`.
+DEFAULT_MODE = "lsh"
+
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
@@ -124,7 +127,7 @@ class GreedyState:
         return self.info.num_levels
 
 
-def init(ds: Dataset, params: ClusterParams, info: ScaleInfo, mode: str = "lsh",
+def init(ds: Dataset, params: ClusterParams, info: ScaleInfo, mode: str = DEFAULT_MODE,
          delta: float | None = None) -> GreedyState:
     """Preprocess a normalized dataset: values, availability, index families.
 
@@ -260,7 +263,7 @@ def run_incremental(state: GreedyState) -> Solution:
     return run(state, state.ds.n)
 
 
-def solve(ds: Dataset, params: ClusterParams, k: int, mode: str = "lsh",
+def solve(ds: Dataset, params: ClusterParams, k: int, mode: str = DEFAULT_MODE,
           delta: float | None = None) -> tuple[Solution, GreedyState]:
     """Normalize, preprocess, and run; the one-call library entry point."""
     scaled, info = normalize(ds, params.c)

@@ -6,7 +6,11 @@ fixes the geometric schedule of ball radii that the index and greedy layers
 operate on: radii delta/(2c)^level for level = 0 .. log_2c(delta) + 7.
 normalize makes one exact KD-tree pass at every n: it gives the minimum
 distance and, from the same tree, the minimum after rescaling (see
-normalize).  The tree's queries run on every core the process may use once
+normalize).  From d = 32 (_TILE_MIN_DIM), where a KD tree scans nearly
+every point per query, float32 GEMM tiles first bound each point's
+nearest-neighbor distance, and the tree queries only the points those
+bounds leave a chance at the minimum (_nearest); the result is the same to
+the bit.  The tree's queries run on every core the process may use once
 they cover at least 2^16 coordinates, and on one below that; each point's
 answer is computed on its own, so results do not depend on the core count.
 
@@ -182,19 +186,35 @@ def _workers(coords: int) -> int:
     """Workers for a KD-tree query over coords query coordinates.
 
     One below _PARALLEL_MIN_COORDS, else every core this process may run
-    on.  Each query point's result is computed on its own, so every worker
-    count gives the same output.
+    on (os.cpu_count where the platform cannot say, as on macOS and
+    Windows).  Each query point's result is computed on its own, so every
+    worker count gives the same output.
     """
-    return 1 if coords < _PARALLEL_MIN_COORDS else len(os.sched_getaffinity(0))
+    if coords < _PARALLEL_MIN_COORDS:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def _near_pairs(tree: cKDTree, nearest: np.ndarray, reach: float):
+def _kd_nearest(tree: cKDTree, rows: np.ndarray) -> np.ndarray:
+    """The tree's nearest-neighbor distance from each of rows, all distinct rows of the tree."""
+    return tree.query(rows, k=2, workers=_workers(rows.size))[0][:, 1]
+
+
+def _near_pairs(tree: cKDTree, nearest: np.ndarray, exact: np.ndarray, reach: float):
     """(head, others) for each row whose nearest neighbor lies within reach.
 
     others holds the ids of every other row within reach of the head, so the
     pairs cover every pair of rows at distance at most reach in the tree.
+    Where exact is False, nearest is only a lower bound; such rows within
+    reach by it are queried first and kept only if their distance is.
     """
     heads = np.flatnonzero(nearest <= reach)
+    loose = heads[~exact[heads]]
+    if loose.size:
+        heads = np.union1d(heads[exact[heads]],
+                           loose[_kd_nearest(tree, tree.data[loose]) <= reach])
     for head, ball in zip(heads, tree.query_ball_point(tree.data[heads], reach,
                                                        workers=_workers(heads.size * tree.m))):
         ball = np.asarray(ball)
@@ -210,41 +230,161 @@ def _distance_from_unit_sq(best_sq: float, e: int) -> float:
     return math.ldexp(math.sqrt(best_sq), e)
 
 
+# From this dimension up, _closest_pass bounds every row's nearest-neighbor
+# distance with float32 GEMM tiles and runs the KD-tree query only on the
+# rows whose bounds leave them a chance at the minimum.  A KD tree in high
+# dimension scans nearly every point per query.  On a 2-vCPU Xeon VM the
+# tiles took 0.40-0.77 of the KD query's time at d = 32, 48 and 64 for n
+# from 2^11 to 2^15; at d = 16 and 24 they won up to n = 8704 but not at
+# 2^15, 1.44 and 0.98 of it (BENCH_high_dim_closest.json).
+_TILE_MIN_DIM = 32
+
+# One tile is _TILE_ROWS rows against _TILE_COLS columns: a 2 MB float32
+# buffer, reused for every tile.
+_TILE_ROWS = 128
+_TILE_COLS = 4096
+
+# The guard: the KD query runs first on _GUARD_ROWS strided rows, and the
+# tiles are given up, for the KD query over every row, when more than
+# _TILE_MAX_CANDIDATES of those rows would stay candidates by the bounds the
+# tiles give.  float32 then cannot tell the rows' distances apart, and the
+# tiles would only add to the KD query.  The guard runs no GEMM: BLAS threads
+# keep spinning for a while after one, and slowed the KD query that followed
+# by half (d=64, n=8704, spread 1e-4, 2-vCPU Xeon VM).
+_GUARD_ROWS = 16
+_TILE_MAX_CANDIDATES = 0.25
+
+
+def _tile_least(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """min over columns j != i of lhs[i] @ rhs[:, j], for each row i, in float32."""
+    n = len(lhs)
+    least = np.full(n, np.inf, dtype=np.float32)
+    tile = np.empty((_TILE_ROWS, _TILE_COLS), dtype=np.float32)
+    for r0 in range(0, n, _TILE_ROWS):
+        rows = slice(r0, min(r0 + _TILE_ROWS, n))
+        for c0 in range(0, n, _TILE_COLS):
+            out = tile[: rows.stop - r0, : min(_TILE_COLS, n - c0)]
+            np.matmul(lhs[rows], rhs[:, c0 : c0 + _TILE_COLS], out=out)
+            # Mask the self pairs, the diagonal of the whole matrix.
+            own = np.arange(max(r0, c0), min(rows.stop, c0 + out.shape[1]))
+            out[own - r0, own - c0] = np.inf
+            np.minimum(least[rows], out.min(axis=1), out=least[rows])
+    return least
+
+
+def _distance_bounds(est: np.ndarray, sq: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """lo <= t <= hi on a KD tree's nearest-neighbor distance t, from _tile_bounds' est and |a|^2."""
+    k = (d + 16) * 2.0**-24
+    big_g = 10.0 * k / (1.0 - k)  # G = 10·γ_(d+16) in float32
+    tau = (d + 16) * 2.0**-110
+    slack = (d + 16) * 2.0**-52
+    lo = np.minimum(est / (1.0 + big_g), est - big_g * sq) - tau
+    hi = np.maximum(est / (1.0 - big_g), est + big_g * sq) + tau
+    return np.sqrt(np.maximum(lo, 0.0)) * (1.0 - slack), np.sqrt(hi) * (1.0 + slack)
+
+
+def _tile_bounds(unit: np.ndarray, center: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """lo <= t <= hi for each distinct row's nearest-neighbor distance t in a KD tree on unit.
+
+    The rows less center, cast to float32, are a.  With |b|^2/2 appended to
+    -b, one GEMM of [a, 1] against [-b, |b|^2/2] gives |b|^2/2 - a·b, and
+    est = |a|^2 + 2·min_b(|b|^2/2 - a·b) estimates the least squared
+    distance D^2 from a row to another.  The float64 centering, the float32
+    cast, the length-(d+1) float32 dot product and the float32 |b|^2/2 err
+    by at most g·(|a| + |b|)^2 with g = γ_(d+16) in float32: γ_(d+1) for
+    the dot product, one unit roundoff for |b|^2/2, about two for the
+    centering and the cast, and the rest for second-order terms; plus at
+    most tau, far above what float32 and float64 underflow add.  Where
+    |b| <= 2|a| that is at most 9g·|a|^2; where |b| > 2|a|,
+    |a - b| > |b|/2 gives (|a| + |b|)^2 < 9|a - b|^2, at most 10·D^2 once
+    the float32 error is counted.  So, for the least D^2 as for the pair
+    est picked, with G = 10g,
+    min(est/(1 + G), est - G·|a|^2) - tau <= D^2
+    <= max(est/(1 - G), est + G·|a|^2) + tau.
+    G < 1 below d = 2^20.  The KD tree's float64 sum of squares and square
+    root move t from D by less than the relative (d + 16)·2^-52 that
+    _distance_bounds applies to the square roots.
+    """
+    n, d = unit.shape
+    lhs = np.empty((n, d + 1), dtype=np.float32)
+    np.subtract(unit, center, out=lhs[:, :d])
+    lhs[:, d] = 1.0
+    sq = np.einsum("ij,ij->i", lhs[:, :d], lhs[:, :d], dtype=np.float64)
+    rhs = np.empty((d + 1, n), dtype=np.float32)
+    np.negative(lhs[:, :d].T, out=rhs[:d])
+    rhs[d] = 0.5 * sq
+    return _distance_bounds(2.0 * _tile_least(lhs, rhs) + sq, sq, d)
+
+
+def _nearest(tree: cKDTree, unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct row's nearest-neighbor distance in tree, or a lower bound; and where exact.
+
+    Below _TILE_MIN_DIM, or where the guard (_GUARD_ROWS) gives up, a k=2
+    KD query gives every row's distance.  Otherwise _tile_bounds gives each
+    row bounds lo <= t <= hi, and only the candidates, the rows with
+    lo <= (1 + 1e-9)·min(hi), are queried; every other row keeps lo.  Each
+    row's lo is at most its distance and min(hi) at least the least
+    distance, so the row that holds the least is a candidate, and every
+    other row's lo exceeds (1 + 1e-9) times the least.
+    """
+    n, d = unit.shape
+    exact = np.ones(n, dtype=bool)
+    if not (_TILE_MIN_DIM <= d < 1 << 20 and n > _GUARD_ROWS):
+        return _kd_nearest(tree, unit), exact
+    center = unit.mean(axis=0)
+    sample = (np.arange(_GUARD_ROWS) * n) // _GUARD_ROWS
+    t = _kd_nearest(tree, unit[sample])
+    lo, hi = _distance_bounds(t * t, np.sum((unit[sample] - center) ** 2, axis=1), d)
+    if np.count_nonzero(lo <= hi.min() * (1.0 + 1e-9)) > _TILE_MAX_CANDIDATES * _GUARD_ROWS:
+        return _kd_nearest(tree, unit), exact
+    nearest, hi = _tile_bounds(unit, center)
+    nearest[sample] = hi[sample] = t
+    exact = nearest <= hi.min() * (1.0 + 1e-9)
+    exact[sample] = False  # queried already
+    nearest[exact] = _kd_nearest(tree, unit[exact])
+    exact[sample] = True
+    return nearest, exact
+
+
 class _ClosestPass(NamedTuple):
-    """One exact KD-tree pass over the distinct rows of a point set.
+    """One exact pass over the distinct rows of a point set.
 
     uniq holds the distinct rows and e the exponent of _unit_scaled; tree is
-    built on uniq·2^-e, nearest is each row's nearest-neighbor distance in
-    it, and best_sq the least squared distance between distinct rows of
-    uniq·2^-e as cdist's "sqeuclidean" computes it.
+    the KD tree on uniq·2^-e.  nearest[i] is row i's nearest-neighbor
+    distance in that tree where exact[i], and a lower bound on it elsewhere
+    (rows that _nearest's float32 bounds show cannot hold the least
+    distance).  best_sq is the least squared distance between distinct rows
+    of uniq·2^-e as cdist's "sqeuclidean" computes it.
     """
 
     uniq: np.ndarray
     e: int
     tree: cKDTree
     nearest: np.ndarray
+    exact: np.ndarray
     best_sq: float
 
 
 def _closest_pass(points: np.ndarray) -> _ClosestPass | None:
-    """The KD-tree pass over the distinct rows of points; None below two rows.
+    """The pass over the distinct rows of points; None below two rows.
 
-    The k=2 query gives each row's nearest-neighbor distance, then all pairs
-    within (1 + 1e-9) times the least of them are scanned with cdist.  The
-    tree's and cdist's sums of squares differ by a few ulps at most, so the
-    margin keeps every pair that cdist could rank smallest, and a row in such
-    a pair has its nearest neighbor within the margin too.
+    _nearest gives each row's nearest-neighbor distance, or on rows that
+    cannot hold the least a lower bound; then all pairs within (1 + 1e-9)
+    times the least distance are scanned with cdist.  The tree's and
+    cdist's sums of squares differ by a few ulps at most, so the margin
+    keeps every pair that cdist could rank smallest, and a row in such a
+    pair has its nearest neighbor within the margin too.
     """
     uniq = np.unique(points, axis=0)
     if uniq.shape[0] < 2:
         return None
     unit, e = _unit_scaled(uniq)
     tree = cKDTree(unit)
-    nearest = tree.query(unit, k=2, workers=_workers(unit.size))[0][:, 1]
+    nearest, exact = _nearest(tree, unit)
     best_sq = min(float(cdist(unit[head : head + 1], unit[others], metric="sqeuclidean").min())
-                  for head, others in _near_pairs(tree, nearest,
+                  for head, others in _near_pairs(tree, nearest, exact,
                                                   float(nearest.min()) * (1.0 + 1e-9)))
-    return _ClosestPass(uniq, e, tree, nearest, best_sq)
+    return _ClosestPass(uniq, e, tree, nearest, exact, best_sq)
 
 
 def min_nonzero_distance(points: np.ndarray) -> float | None:
@@ -267,7 +407,7 @@ def _rescaled_min(closest: _ClosestPass, scale: float) -> float:
     the pass over points; only the rows of pairs within the widened reach
     that the normalize docstring derives are rescaled.
     """
-    uniq, e, tree, nearest, best_sq = closest
+    uniq, e, tree, nearest, exact, best_sq = closest
     d = uniq.shape[1]
     top = float(np.abs(uniq).max())
     # Rounding is monotone, so fl(top·scale) is the largest rescaled |coordinate|.
@@ -277,7 +417,7 @@ def _rescaled_min(closest: _ClosestPass, scale: float) -> float:
               + 2.0 * _ROUNDOFF * math.sqrt(d) * math.ldexp(top, -e))
              * (1.0 + 4.0 * (d + 2) * _ROUNDOFF))
     best_sq = math.inf
-    for head, others in _near_pairs(tree, nearest, reach):
+    for head, others in _near_pairs(tree, nearest, exact, reach):
         rows = uniq[np.append(head, others)] * scale
         # np.unique merges rows that rescaling made equal; skip those pairs.
         others = rows[1:][np.any(rows[1:] != rows[0], axis=1)]
@@ -342,7 +482,10 @@ def normalize(ds: Dataset, c: float) -> tuple[Dataset, ScaleInfo]:
     points fl(x·s) a hair under 1, and the scale is then bumped by the
     shortfall.  That rescaled minimum is taken over the pairs the same tree
     finds within a widened reach, and wherever it is below 1 it equals what
-    a second full pass over fl(x·s) would give, to the bit:
+    a second full pass over fl(x·s) would give, to the bit.  (From
+    _TILE_MIN_DIM up, the pass keeps for most points only a float32 lower
+    bound on their nearest-neighbor distance; a point whose bound lies
+    within the reach is queried then, so the pairs are the same.)
 
     - fl(x·s) moves each coordinate by at most u·M·s, with u = 2^-53 and M
       the largest |coordinate|, so a pair's rescaled distance D' and its

@@ -4,6 +4,7 @@ import math
 import os
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -250,7 +251,16 @@ class TestOnePassNormalize:
 
     def test_small_queries_run_on_one_worker(self):
         assert metric._workers(metric._PARALLEL_MIN_COORDS - 1) == 1
-        assert metric._workers(metric._PARALLEL_MIN_COORDS) == len(os.sched_getaffinity(0))
+        cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count() or 1)
+        assert metric._workers(metric._PARALLEL_MIN_COORDS) == cores
+
+    def test_workers_where_the_platform_has_no_affinity_call(self, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert metric._workers(metric._PARALLEL_MIN_COORDS) == (os.cpu_count() or 1)
+        points = mixture_dataset(8200, 8, 16, 0.05, 0).points  # 65600 coordinates
+        _assert_normalize_matches_reference(points)
 
     @settings(max_examples=120, deadline=None)
     @given(st.sampled_from(sorted(_POINT_FAMILIES)), st.integers(0, 2**31),
@@ -304,6 +314,132 @@ class TestOnePassNormalize:
             reference_normalize(Dataset(np.array(points)), 5.0)
         with pytest.raises(DataRangeError):
             normalize(Dataset(np.array(points)), 5.0)
+
+
+def _assert_min_matches_reference(points: np.ndarray):
+    """min_nonzero_distance(points) equals the reference bit for bit, errors included."""
+    try:
+        expected = reference_min_nonzero_distance(points)
+    except DataRangeError:
+        with pytest.raises(DataRangeError):
+            min_nonzero_distance(points)
+        return
+    assert min_nonzero_distance(points) == expected
+
+
+def _far_tight_clusters(n: int, d: int, seed: int, gap: float) -> np.ndarray:
+    """Tight clusters around far-apart centers: every row lies far from the centroid,
+    and at gap 1e-9 the gaps are far below float32 resolution there."""
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(-1.0, 1.0, size=(4, d))
+    return centers[rng.integers(0, 4, size=n)] + rng.normal(size=(n, d)) * gap
+
+
+def _edge_points(case: str, d: int) -> np.ndarray:
+    rng = np.random.default_rng(d)
+    if case == "duplicates":
+        points = rng.normal(size=(300, d))
+        points[100:200] = points[:100]
+        return points
+    if case == "one-ulp":
+        points = rng.normal(size=(300, d))
+        points[290:] = np.nextafter(points[:10], np.inf)
+        return points
+    if case == "huge":
+        return rng.normal(size=(300, d)) * 1e300
+    if case == "tiny":
+        return rng.normal(size=(300, d)) * 1e-300
+    if case == "subnormal-unit":
+        # Next to the one coordinate 1e100 the others fall to about 1e-320
+        # after unit scaling, below the least normal float64.
+        points = rng.normal(size=(300, d)) * 1e-220
+        points[0, 0] = 1e100
+        return points
+    if case == "near-subnormal-unit":
+        points = rng.normal(size=(300, d)) * 1e-150
+        points[0, 0] = 1.0
+        return points
+    return rng.normal(size=(int(case[1:]), d))  # "n2", "n3"
+
+
+class TestTileFilter:
+    """_closest_pass's float32 tile filter (d >= _TILE_MIN_DIM) against the references."""
+
+    @pytest.fixture(params=["guarded", "unguarded"])
+    def guard(self, request, monkeypatch):
+        # Unguarded, the filter never gives up, so its bounds pick the
+        # candidates even where float32 cannot separate the rows.
+        if request.param == "unguarded":
+            monkeypatch.setattr(metric, "_TILE_MAX_CANDIDATES", 1.0)
+
+    @pytest.mark.parametrize("d", [metric._TILE_MIN_DIM - 1, metric._TILE_MIN_DIM, 64])
+    def test_matches_reference_around_the_min_dim(self, d, guard):
+        bumped = 0
+        for seed in range(4):
+            points = mixture_dataset(300, d, 8, 0.05, seed).points
+            _assert_min_matches_reference(points)
+            _assert_normalize_matches_reference(points)
+            # Far from the origin, rescaling rounds each coordinate by a
+            # visible share of the minimum distance, and the scale is bumped.
+            points = points + 1e6
+            _, info = _assert_normalize_matches_reference(points)
+            bumped += info.scale != 1.0 / reference_min_nonzero_distance(points)
+        assert bumped
+
+    def test_gaps_below_float32_resolution_give_up_the_tiles(self, guard, monkeypatch):
+        points = _far_tight_clusters(600, 64, 0, 1e-9)
+        if metric._TILE_MAX_CANDIDATES < 1.0:
+            monkeypatch.setattr(metric, "_tile_bounds", mock.Mock(side_effect=AssertionError))
+        _assert_min_matches_reference(points)
+        _assert_normalize_matches_reference(points)
+
+    @pytest.mark.parametrize("case", ["duplicates", "one-ulp", "huge", "tiny", "subnormal-unit",
+                                      "near-subnormal-unit", "n2", "n3"])
+    def test_edge_inputs(self, case, guard):
+        points = _edge_points(case, 64)
+        _assert_min_matches_reference(points)
+        _assert_normalize_matches_reference(points)
+
+    @pytest.mark.parametrize("d", [metric._TILE_MIN_DIM, 64])
+    def test_ulp_steps_far_from_the_origin(self, d):
+        # Rows a few ulps apart far from the origin: the rescaled reach holds
+        # many rows whose nearest-neighbor distance is only bounded, and the
+        # rescaled minimum can come from a pair of them.
+        for seed in range(6):
+            for span in (4, 16):
+                steps = np.random.default_rng(seed).integers(0, span, size=(400, d))
+                for scale in (1.0, 3.7):
+                    _assert_normalize_matches_reference((1e9 + steps * np.spacing(1e9)) * scale)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 400), st.sampled_from([metric._TILE_MIN_DIM, 64]),
+           st.integers(0, 2**31), st.sampled_from([0.05, 1e-4, 1e-9]),
+           st.sampled_from([None, 1e20, 1e150, 1e300]))
+    def test_bounds_hold_the_kd_distance(self, n, d, seed, gap, spike):
+        points = _far_tight_clusters(n, d, seed, gap)
+        if spike is not None:
+            # Next to one huge coordinate the others are tiny after unit
+            # scaling, down to where their squares underflow in float64.
+            points[0, 0] = spike
+        unit, _ = metric._unit_scaled(np.unique(points, axis=0))
+        lo, hi = metric._tile_bounds(unit, unit.mean(axis=0))
+        kd = metric._kd_nearest(metric.cKDTree(unit), unit)
+        assert np.all(lo <= kd) and np.all(kd <= hi)
+
+    def test_kd_query_reads_a_handful_of_rows(self, monkeypatch):
+        queried = []
+
+        class CountingTree(metric.cKDTree):
+            def query(self, x, k=1, **kwargs):
+                if k == 2:
+                    queried.append(len(x))
+                return super().query(x, k=k, **kwargs)
+
+        monkeypatch.setattr(metric, "cKDTree", CountingTree)
+        normalize(mixture_dataset(8704, 64, 16, 0.05, 0), 5.0)
+        # The guard's strided rows, then a handful of candidates.
+        assert queried[0] == metric._GUARD_ROWS
+        assert sum(queried[1:]) <= 8
 
 
 class TestLevelRadii:
