@@ -393,10 +393,12 @@ def _read_report(path: str, ds: Dataset) -> tuple[list[int], dict[str, float], f
         if not (key.isdecimal() and 1 <= int(key) <= len(centers)):
             raise DataError(f"{path}: prefix-cost key {key!r} is not an integer "
                             f"in [1, {len(centers)}]")
-        if not _is_number(recorded):
-            raise DataError(f"{path}: prefix cost for k={key} is not a number")
-    if not (_is_number(z) and z >= 1):
-        raise DataError(f"{path}: params.z must be a number >= 1")
+        # Python's JSON reader accepts NaN, which fails this comparison, and
+        # Infinity, 1e400 (read as inf) and integers past the float64 range.
+        if not (_is_number(recorded) and abs(recorded) <= sys.float_info.max):
+            raise DataError(f"{path}: prefix cost for k={key} is not a finite number")
+    if not (_is_number(z) and 1 <= z <= sys.float_info.max):
+        raise DataError(f"{path}: params.z must be a finite number >= 1")
     return centers, prefix_costs, z
 
 

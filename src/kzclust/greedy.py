@@ -15,8 +15,9 @@ counts every ball.
 Each iteration pops the available ball with the largest value, walks it down
 one level at a time -- always moving to the neighbor whose next-level ball
 has the largest value -- until the minimum radius, emits that ball's point
-as a center, and then sweeps every level's removal index around the new
-center; the removal indexes' live masks are the one availability record.
+as a center, and then sweeps every removal index that still has a live
+point around the new center; the removal indexes' live masks are the one
+availability record.
 
 Stopping after k iterations yields a k-center solution; the walk never looks
 at k, so every prefix of the full ordering is the k-stopped solution.
@@ -211,17 +212,18 @@ def descend(state: GreedyState, head: BallRef) -> tuple[int, list[BallRef]]:
 
 
 def remove_around(state: GreedyState, center_id: int) -> None:
-    """Sweep every level's removal index around a just-emitted center.
+    """Sweep each level's removal index around a just-emitted center.
 
-    Each returned point is deleted from that removal index (and only that
-    one), which makes its ball at that level unavailable; sequence indexes
-    are never touched, and values are never re-estimated.
+    An emptied index can return nothing, so the sweep skips it.  Each
+    returned point is deleted from that removal index (and only that one),
+    which makes its ball at that level unavailable; sequence indexes are
+    never touched, and values are never re-estimated.
     """
-    for lvl in range(state.num_levels):
-        index = state.rem_indexes[lvl]
-        hit = index.query(center_id)
-        if hit.size:
-            index.remove_many(hit)
+    for index in state.rem_indexes:
+        if index.live_count:
+            hit = index.query(center_id)
+            if hit.size:
+                index.remove_many(hit)
 
 
 def run(state: GreedyState, k: int) -> Solution:

@@ -59,10 +59,11 @@ filling and filling at once would have, with the fill counted at that
 price.  A fill with few near points costs much less, and against its
 actual cost the factor is larger: in a full ordering of 16384 points (d=8
 mixture, 2-vCPU Xeon VM) the removal index that fills probed for about
-0.23 s, four times its 0.06 s fill, before buying it.  An index with no
-live point left answers at once, with no probe and no fill, so a removal
-index whose points run out before its probes pass the budget never fills,
-and a run that sends an index a few queries never fills it either.
+0.23 s, four times its 0.06 s fill, before buying it.  The removal sweep
+(greedy.remove_around) skips an index with no live point left, so a
+removal index whose points run out before its probes pass the budget
+never fills, and a run that sends an index a few queries never fills it
+either.
 
 In "exact" mode there are no tables and a query scans the live points, so
 N = B(p, R) ∩ live; greedy.init builds such an index only at grid radii.
@@ -74,8 +75,7 @@ in B(p, R), and one with c·R < 1 ("dup") puts only p's duplicates in
 B(p, c·R).  Their indexes answer from a DuplicateGroups partition -- the
 whole set as one group, or the exact-duplicate groups -- and meet the
 sandwich with probability 1; their answers are the exact scan's, in
-either mode.  Every index kind keeps one removal state (_LiveSet) and
-answers at once when no point is live.
+either mode.  Every index kind keeps one removal state (_LiveSet).
 
 Concurrency: a grid query writes nothing but its index's probes counter,
 once each the index's box and alone mask (the fill), and on the dataset's
@@ -409,16 +409,13 @@ class NeighborhoodIndex(_LiveSet):
         """Live ids within the sandwich around the stored point, ascending.
 
         The queried point may itself have been removed; it is then excluded
-        like any other dead id.  An index with no live point returns at
-        once, and one without tables scans.  An index whose probes times
-        _PROBE_COST have passed L·n fills first (ski rental: the probes have
-        then cost about what the fill costs when every point is near).  A
-        filled index answers a point alone in all its L buckets with itself
-        if live and nothing if dead, with no probe; every other query is a
-        probe.
+        like any other dead id.  An index without tables scans.  An index
+        whose probes times _PROBE_COST have passed L·n fills first (ski
+        rental: the probes have then cost about what the fill costs when
+        every point is near).  A filled index answers a point alone in all
+        its L buckets with itself if live and nothing if dead, with no
+        probe; every other query is a probe.
         """
-        if self.live_count == 0:
-            return np.empty(0, dtype=np.int64)
         if self._shifts is None:
             dr = dists_from(self.ds.points, point_id)
             return np.flatnonzero(self.live & (dr <= self.radius))
@@ -531,8 +528,6 @@ class _DuplicateGroupIndex(_LiveSet):
         self.entries_scanned = 0
 
     def query(self, point_id: int) -> np.ndarray:
-        if self.live_count == 0:
-            return np.empty(0, dtype=np.int64)
         g = self.groups.group_of[point_id]
         members = self.groups.order[self.groups.offsets[g] : self.groups.offsets[g + 1]]
         self.entries_scanned += len(members)

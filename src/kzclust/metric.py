@@ -202,23 +202,22 @@ def _kd_nearest(tree: cKDTree, rows: np.ndarray) -> np.ndarray:
     return tree.query(rows, k=2, workers=_workers(rows.size))[0][:, 1]
 
 
-def _near_pairs(tree: cKDTree, nearest: np.ndarray, exact: np.ndarray, reach: float):
-    """(head, others) for each row whose nearest neighbor lies within reach.
+def _near_pairs(tree: cKDTree, nearest: np.ndarray, reach: float):
+    """(head, others) for each row with another row within reach.
 
     others holds the ids of every other row within reach of the head, so the
     pairs cover every pair of rows at distance at most reach in the tree.
-    Where exact is False, nearest is only a lower bound; such rows within
-    reach by it are queried first and kept only if their distance is.
+    nearest is each row's nearest-neighbor distance or a lower bound on it;
+    the rows within reach by it are the heads queried, and a head whose ball
+    holds no other row is skipped.
     """
     heads = np.flatnonzero(nearest <= reach)
-    loose = heads[~exact[heads]]
-    if loose.size:
-        heads = np.union1d(heads[exact[heads]],
-                           loose[_kd_nearest(tree, tree.data[loose]) <= reach])
     for head, ball in zip(heads, tree.query_ball_point(tree.data[heads], reach,
                                                        workers=_workers(heads.size * tree.m))):
         ball = np.asarray(ball)
-        yield head, ball[ball != head]
+        others = ball[ball != head]
+        if others.size:
+            yield head, others
 
 
 def _distance_from_unit_sq(best_sq: float, e: int) -> float:
@@ -316,8 +315,8 @@ def _tile_bounds(unit: np.ndarray, center: np.ndarray) -> tuple[np.ndarray, np.n
     return _distance_bounds(2.0 * _tile_least(lhs, rhs) + sq, sq, d)
 
 
-def _nearest(tree: cKDTree, unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each distinct row's nearest-neighbor distance in tree, or a lower bound; and where exact.
+def _nearest(tree: cKDTree, unit: np.ndarray) -> np.ndarray:
+    """Each distinct row's nearest-neighbor distance in tree, or a lower bound on it.
 
     Below _TILE_MIN_DIM, or where the guard (_GUARD_ROWS) gives up, a k=2
     KD query gives every row's distance.  Otherwise _tile_bounds gives each
@@ -328,22 +327,20 @@ def _nearest(tree: cKDTree, unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     other row's lo exceeds (1 + 1e-9) times the least.
     """
     n, d = unit.shape
-    exact = np.ones(n, dtype=bool)
     if not (_TILE_MIN_DIM <= d < 1 << 20 and n > _GUARD_ROWS):
-        return _kd_nearest(tree, unit), exact
+        return _kd_nearest(tree, unit)
     center = unit.mean(axis=0)
     sample = (np.arange(_GUARD_ROWS) * n) // _GUARD_ROWS
     t = _kd_nearest(tree, unit[sample])
     lo, hi = _distance_bounds(t * t, np.sum((unit[sample] - center) ** 2, axis=1), d)
     if np.count_nonzero(lo <= hi.min() * (1.0 + 1e-9)) > _TILE_MAX_CANDIDATES * _GUARD_ROWS:
-        return _kd_nearest(tree, unit), exact
+        return _kd_nearest(tree, unit)
     nearest, hi = _tile_bounds(unit, center)
     nearest[sample] = hi[sample] = t
-    exact = nearest <= hi.min() * (1.0 + 1e-9)
-    exact[sample] = False  # queried already
-    nearest[exact] = _kd_nearest(tree, unit[exact])
-    exact[sample] = True
-    return nearest, exact
+    candidates = nearest <= hi.min() * (1.0 + 1e-9)
+    candidates[sample] = False  # queried already
+    nearest[candidates] = _kd_nearest(tree, unit[candidates])
+    return nearest
 
 
 class _ClosestPass(NamedTuple):
@@ -351,17 +348,16 @@ class _ClosestPass(NamedTuple):
 
     uniq holds the distinct rows and e the exponent of _unit_scaled; tree is
     the KD tree on uniq·2^-e.  nearest[i] is row i's nearest-neighbor
-    distance in that tree where exact[i], and a lower bound on it elsewhere
-    (rows that _nearest's float32 bounds show cannot hold the least
-    distance).  best_sq is the least squared distance between distinct rows
-    of uniq·2^-e as cdist's "sqeuclidean" computes it.
+    distance in that tree, or a lower bound on it on rows that _nearest's
+    float32 bounds show cannot hold the least distance.  best_sq is the
+    least squared distance between distinct rows of uniq·2^-e as cdist's
+    "sqeuclidean" computes it.
     """
 
     uniq: np.ndarray
     e: int
     tree: cKDTree
     nearest: np.ndarray
-    exact: np.ndarray
     best_sq: float
 
 
@@ -380,11 +376,11 @@ def _closest_pass(points: np.ndarray) -> _ClosestPass | None:
         return None
     unit, e = _unit_scaled(uniq)
     tree = cKDTree(unit)
-    nearest, exact = _nearest(tree, unit)
+    nearest = _nearest(tree, unit)
     best_sq = min(float(cdist(unit[head : head + 1], unit[others], metric="sqeuclidean").min())
-                  for head, others in _near_pairs(tree, nearest, exact,
+                  for head, others in _near_pairs(tree, nearest,
                                                   float(nearest.min()) * (1.0 + 1e-9)))
-    return _ClosestPass(uniq, e, tree, nearest, exact, best_sq)
+    return _ClosestPass(uniq, e, tree, nearest, best_sq)
 
 
 def min_nonzero_distance(points: np.ndarray) -> float | None:
@@ -407,7 +403,7 @@ def _rescaled_min(closest: _ClosestPass, scale: float) -> float:
     the pass over points; only the rows of pairs within the widened reach
     that the normalize docstring derives are rescaled.
     """
-    uniq, e, tree, nearest, exact, best_sq = closest
+    uniq, e, tree, nearest, best_sq = closest
     d = uniq.shape[1]
     top = float(np.abs(uniq).max())
     # Rounding is monotone, so fl(top·scale) is the largest rescaled |coordinate|.
@@ -417,7 +413,7 @@ def _rescaled_min(closest: _ClosestPass, scale: float) -> float:
               + 2.0 * _ROUNDOFF * math.sqrt(d) * math.ldexp(top, -e))
              * (1.0 + 4.0 * (d + 2) * _ROUNDOFF))
     best_sq = math.inf
-    for head, others in _near_pairs(tree, nearest, exact, reach):
+    for head, others in _near_pairs(tree, nearest, reach):
         rows = uniq[np.append(head, others)] * scale
         # np.unique merges rows that rescaling made equal; skip those pairs.
         others = rows[1:][np.any(rows[1:] != rows[0], axis=1)]
@@ -485,7 +481,8 @@ def normalize(ds: Dataset, c: float) -> tuple[Dataset, ScaleInfo]:
     a second full pass over fl(x·s) would give, to the bit.  (From
     _TILE_MIN_DIM up, the pass keeps for most points only a float32 lower
     bound on their nearest-neighbor distance; a point whose bound lies
-    within the reach is queried then, so the pairs are the same.)
+    within the reach has its ball queried like any other, so the pairs are
+    the same.)
 
     - fl(x·s) moves each coordinate by at most u·M·s, with u = 2^-53 and M
       the largest |coordinate|, so a pair's rescaled distance D' and its

@@ -135,15 +135,20 @@ class QueryLog:
     """The index queries of one greedy run, recorded from outside the loop.
 
     Events are (iteration, level, ids), iterations counted from 1.  An
-    iteration's center is the point its level-0 removal query names, and
+    iteration's center is the point its first removal query names (the
+    sweep skips emptied indexes, but the popped head's level still has a
+    live point, so every iteration queries one),
     unavailable_candidate_hits counts candidates whose ball one level down
-    was already popped or removed when the query returned.
+    was already popped or removed when the query returned, and
+    emptied_removal_queries counts removal queries sent to an index with
+    no live point.
     """
 
     candidate_events: list = field(default_factory=list)
     removal_events: list = field(default_factory=list)
     iteration_centers: list = field(default_factory=list)
     unavailable_candidate_hits: int = 0
+    emptied_removal_queries: int = 0
 
 
 def record_queries(state: greedy.GreedyState) -> QueryLog:
@@ -164,9 +169,10 @@ def record_queries(state: greedy.GreedyState) -> QueryLog:
             bool(gone) or greedy.BallRef(int(p), level + 1) in popped for p, gone in zip(ids, removed))
 
     def on_removal(level, point_id, ids):
-        if level == 0:
+        if not log.removal_events or log.removal_events[-1][0] != state.iteration:
             log.iteration_centers.append(point_id)
         log.removal_events.append((state.iteration, level, ids))
+        log.emptied_removal_queries += state.rem_indexes[level].live_count == 0
 
     def wrap(index, level, record):
         query = index.query

@@ -1,8 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines as they complete.  The scaling criterion generates and clusters up to
-2^14 points and dominates the runtime (about a minute).
+lines as they complete.  The neighborhood-sandwich criterion (10^4 grid-index
+queries checked against exact distances) takes most of the runtime, about
+13 of 20 s on a 2-vCPU Xeon VM; the scaling criterion generates and clusters
+up to 2^14 points in about 2 s.
 """
 
 import numpy as np

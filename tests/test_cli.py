@@ -1,6 +1,7 @@
 """CLI: ingestion formats, generation, cluster reports, eval, bench."""
 
 import json
+import math
 import struct
 import warnings
 
@@ -423,12 +424,13 @@ class TestCostOverflow:
         assert not out.exists()
 
     def test_eval_is_data_error(self, tmp_path, capsys):
-        # The report an overflowing cost used to give: Infinity is not JSON.
+        # A well-formed report on a dataset whose cost overflows when
+        # recomputed (a recorded Infinity is rejected before any cost).
         p = tmp_path / "far.csv"
         p.write_text(OVERFLOWING_COSTS)
         out = tmp_path / "r.json"
         out.write_text('{"input": {"n": 4, "d": 2}, "params": {"z": 2.0}, '
-                       '"result": {"centers": [0], "prefix_costs": {"1": Infinity}}}')
+                       '"result": {"centers": [0], "prefix_costs": {"1": 1e308}}}')
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run_cli("eval", str(out), str(p)) == 3
@@ -536,8 +538,17 @@ class TestEval:
         lambda r, n: with_result(r, centers=[cid - n for cid in r["result"]["centers"]]),
         lambda r, n: with_result(r, prefix_costs={"999": r["result"]["prefix_costs"]["3"]}),
         lambda r, n: with_result(r, prefix_costs={}),
+        # Python's JSON reader takes Infinity, NaN, 1e400 (as inf) and integers
+        # past the float64 range.
+        lambda r, n: json.dumps({**r, "params": {**r["params"], "z": math.inf}}),
+        lambda r, n: json.dumps({**r, "params": {**r["params"], "z": "Z"}}).replace('"Z"', "1e400"),
+        lambda r, n: json.dumps({**r, "params": {**r["params"], "z": 10**400}}),
+        lambda r, n: with_result(r, prefix_costs={**r["result"]["prefix_costs"], "3": math.nan}),
+        lambda r, n: with_result(r, prefix_costs={**r["result"]["prefix_costs"], "1": math.inf}),
+        lambda r, n: with_result(r, prefix_costs={**r["result"]["prefix_costs"], "1": 10**400}),
     ], ids=["empty-object", "center-999", "not-json", "key-abc", "no-centers",
-            "negative-centers", "key-999", "no-prefix-costs"])
+            "negative-centers", "key-999", "no-prefix-costs", "z-infinity", "z-1e400",
+            "z-huge-int", "cost-nan", "cost-infinity", "cost-huge-int"])
     def test_malformed_report_is_data_error(self, tmp_path, capsys, edit):
         p, ds = write_instance(tmp_path, n=50, seed=5)
         out = tmp_path / "r.json"

@@ -379,5 +379,24 @@ class TestInstrumentation:
             n_candidates = sum(len(t) - 1 for t in sol.traces)
             assert n_candidates > 0
             assert len(log.candidate_events) == n_candidates
-            assert len(log.removal_events) == state.iteration * state.num_levels
+            # Each level is swept at iterations 1..t, once each, and stops
+            # only once its removal index has no live point left.
+            swept: dict[int, list] = {}
+            for it, lvl, _ in log.removal_events:
+                swept.setdefault(lvl, []).append(it)
+            assert sorted(swept) == list(range(state.num_levels))
+            for lvl, its in swept.items():
+                assert its == list(range(1, len(its) + 1))
+                if its[-1] < state.iteration:
+                    assert state.rem_indexes[lvl].live_count == 0
             assert log.iteration_centers == sol.centers
+
+    @pytest.mark.parametrize("mode", ["exact", "lsh"])
+    def test_sweep_skips_emptied_indexes(self, mode):
+        for seed in (70, 71):
+            ds = with_duplicates(60, 2, seed=seed, dup_fraction=0.3)
+            params = ClusterParams(k=ds.n, seed=seed)
+            _, _, log = logged_solve(ds, params, ds.n, mode)
+            assert log.emptied_removal_queries == 0
+            # The whole-set index at level 0 empties at the first center.
+            assert [lvl for _, lvl, _ in log.removal_events].count(0) == 1

@@ -503,8 +503,8 @@ class TestProbeFirst:
                     want = eager.query(p)
                     assert np.array_equal(got, want)
                     assert np.array_equal(never._probe(p), want)
-                    # An index with no live point answers without filling.
-                    assert _filled(probe) or not budget_passed or probe.live_count == 0
+                    # A query past the budget fills, live points or none.
+                    assert _filled(probe) or not budget_passed
         assert not _filled(never)
 
     def test_fills_once_the_probes_pass_the_budget(self):
@@ -574,13 +574,15 @@ class TestProbeFirst:
             assert idx.live_count == ds.n - len(dead) == np.count_nonzero(idx.live)
         idx.remove_many(np.array([], dtype=np.int64))
         assert idx.live_count == 0
-        work = getattr(idx, "probes", None), getattr(idx, "entries_scanned", None)
+        # The removal sweep skips an emptied index; queried directly, it
+        # answers through its normal path, which may probe and fill.
         for p in range(ds.n):
             got = idx.query(p)
             assert got.dtype == np.int64 and got.size == 0
-        assert (getattr(idx, "probes", None), getattr(idx, "entries_scanned", None)) == work
-        if isinstance(idx, lsh.NeighborhoodIndex):
-            assert _filled(idx) == (filled and mode == "lsh")
+        if filled and mode == "lsh":
+            assert _filled(idx)
+        elif mode == "exact":
+            assert not _filled(idx)
 
     def test_point_alone_in_all_its_buckets_reads_none(self):
         # Points 0 and 1 are duplicates and share every bucket; point 3 is
