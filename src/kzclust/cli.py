@@ -59,33 +59,34 @@ def _parse_csv(path: str) -> Dataset:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = line.replace(",", " ").split()
+        # Commas and whitespace both separate fields; an empty comma field stays "".
+        fields = [tok for part in line.split(",") for tok in part.split() or [""]]
+        where = f"{path}: line {lineno}"
+        row = [_csv_value(tok, col, where) for col, tok in enumerate(fields, start=1)]
         if width is None:
-            width = len(fields)
-        elif len(fields) != width:
-            raise DataError(
-                f"{path}: line {lineno}: ragged row, expected {width} fields, got {len(fields)}"
-            )
-        try:
-            row = [float(tok) for tok in fields]
-        except ValueError:
-            bad = next(tok for tok in fields if not _is_float(tok))
-            raise DataError(f"{path}: line {lineno}: non-numeric field {bad!r}") from None
-        if not all(math.isfinite(x) for x in row):
-            bad = next(tok for tok, x in zip(fields, row) if not math.isfinite(x))
-            raise DataError(f"{path}: line {lineno}: non-finite field {bad!r}")
+            width = len(row)
+        elif len(row) != width:
+            raise DataError(f"{where}: ragged row, expected {width} fields, got {len(row)}")
         rows.append(row)
     if not rows:
         raise DataError(f"{path}: empty dataset")
     return Dataset(np.array(rows, dtype=np.float64))
 
 
-def _is_float(tok: str) -> bool:
+def _csv_value(tok: str, col: int, where: str) -> float:
+    """The finite number that field col holds; a DataError at where otherwise."""
+    if not tok:
+        raise DataError(f"{where}: field {col} is empty")
     try:
-        float(tok)
-        return True
+        x = float(tok)
     except ValueError:
-        return False
+        x = None
+    # float also reads the digit-group underscore, 1_5 as 15.
+    if x is None or "_" in tok:
+        raise DataError(f"{where}: non-numeric field {tok!r}")
+    if not math.isfinite(x):
+        raise DataError(f"{where}: non-finite field {tok!r}")
+    return x
 
 
 def _parse_f32le(path: str) -> Dataset:
@@ -210,11 +211,9 @@ def run_pipeline(ds: Dataset, params: ClusterParams, mode: str, delta: float | N
         solution = greedy.run(state, params.k)
         timings["greedy_s"] = time.perf_counter() - t0
 
-    prefix_costs = {
-        str(kk): cost(ds, solution.prefix(kk), params.z)
-        for kk in eval_ks
-        if 1 <= kk <= solution.achieved_k
-    }
+    # An ordering that stops early holds every distinct point, so each
+    # larger prefix costs what the whole ordering does.
+    prefix_costs = {str(kk): cost(ds, solution.prefix(kk), params.z) for kk in eval_ks}
     timings["total_s"] = sum(timings.values())
     greedy_run = algorithm == "greedy"
 
@@ -390,9 +389,10 @@ def _read_report(path: str, ds: Dataset) -> tuple[list[int], dict[str, float], f
     if not (isinstance(prefix_costs, dict) and prefix_costs):
         raise DataError(f"{path}: result.prefix_costs must be a nonempty object")
     for key, recorded in prefix_costs.items():
-        if not (key.isdecimal() and 1 <= int(key) <= len(centers)):
-            raise DataError(f"{path}: prefix-cost key {key!r} is not an integer "
-                            f"in [1, {len(centers)}]")
+        # A key past the centers is the whole ordering's cost, which a run
+        # that stopped early records for every larger k.
+        if not (key.isdecimal() and 1 <= int(key) <= ds.n):
+            raise DataError(f"{path}: prefix-cost key {key!r} is not an integer in [1, {ds.n}]")
         # Python's JSON reader accepts NaN, which fails this comparison, and
         # Infinity, 1e400 (read as inf) and integers past the float64 range.
         if not (_is_number(recorded) and abs(recorded) <= sys.float_info.max):

@@ -4,15 +4,16 @@ Normalization rescales coordinates so the smallest nonzero pairwise distance
 is 1, then rounds the bounding-box diagonal up to a power of 2c.  That power
 fixes the geometric schedule of ball radii that the index and greedy layers
 operate on: radii delta/(2c)^level for level = 0 .. log_2c(delta) + 7.
-normalize makes one exact KD-tree pass at every n: it gives the minimum
-distance and, from the same tree, the minimum after rescaling (see
-normalize).  From d = 32 (_TILE_MIN_DIM), where a KD tree scans nearly
-every point per query, float32 GEMM tiles first bound each point's
-nearest-neighbor distance, and the tree queries only the points those
-bounds leave a chance at the minimum (_nearest); the result is the same to
-the bit.  The tree's queries run on every core the process may use once
-they cover at least 2^16 coordinates, and on one below that; each point's
-answer is computed on its own, so results do not depend on the core count.
+normalize makes one exact KD-tree pass at every n for the minimum
+distance, and a second over only the rescaled rows within reach of it for
+the minimum after rescaling (see normalize).  From d = 32 (_TILE_MIN_DIM),
+where a KD tree scans nearly every point per query, float32 GEMM tiles
+first bound each point's nearest-neighbor distance, and the tree queries
+only the points those bounds leave a chance at the minimum (_nearest); the
+result is the same to the bit.  The tree's queries run on every core the
+process may use once they cover at least 2^16 coordinates, and on one below
+that; each point's answer is computed on its own, so results do not depend
+on the core count.
 
 All data is float64.  A Dataset is immutable after construction and every
 function here is pure, so concurrent use is safe; a Dataset's KD-tree is
@@ -202,24 +203,6 @@ def _kd_nearest(tree: cKDTree, rows: np.ndarray) -> np.ndarray:
     return tree.query(rows, k=2, workers=_workers(rows.size))[0][:, 1]
 
 
-def _near_pairs(tree: cKDTree, nearest: np.ndarray, reach: float):
-    """(head, others) for each row with another row within reach.
-
-    others holds the ids of every other row within reach of the head, so the
-    pairs cover every pair of rows at distance at most reach in the tree.
-    nearest is each row's nearest-neighbor distance or a lower bound on it;
-    the rows within reach by it are the heads queried, and a head whose ball
-    holds no other row is skipped.
-    """
-    heads = np.flatnonzero(nearest <= reach)
-    for head, ball in zip(heads, tree.query_ball_point(tree.data[heads], reach,
-                                                       workers=_workers(heads.size * tree.m))):
-        ball = np.asarray(ball)
-        others = ball[ball != head]
-        if others.size:
-            yield head, others
-
-
 def _distance_from_unit_sq(best_sq: float, e: int) -> float:
     """ldexp(sqrt(best_sq), e); a subnormal least squared gap is a range error."""
     if best_sq < sys.float_info.min:
@@ -346,41 +329,52 @@ def _nearest(tree: cKDTree, unit: np.ndarray) -> np.ndarray:
 class _ClosestPass(NamedTuple):
     """One exact pass over the distinct rows of a point set.
 
-    uniq holds the distinct rows and e the exponent of _unit_scaled; tree is
-    the KD tree on uniq·2^-e.  nearest[i] is row i's nearest-neighbor
-    distance in that tree, or a lower bound on it on rows that _nearest's
-    float32 bounds show cannot hold the least distance.  best_sq is the
-    least squared distance between distinct rows of uniq·2^-e as cdist's
+    uniq holds the distinct rows and e the exponent of the unit scaling
+    uniq·2^-e.  nearest[i] is row i's nearest-neighbor distance in a KD tree
+    on uniq·2^-e, or a lower bound on it on rows that _nearest's float32
+    bounds show cannot hold the least distance.  best_sq is the least
+    squared distance between distinct rows of uniq·2^-e as cdist's
     "sqeuclidean" computes it.
     """
 
     uniq: np.ndarray
     e: int
-    tree: cKDTree
     nearest: np.ndarray
     best_sq: float
 
 
-def _closest_pass(points: np.ndarray) -> _ClosestPass | None:
+def _closest_pass(points: np.ndarray, e: int | None = None) -> _ClosestPass | None:
     """The pass over the distinct rows of points; None below two rows.
 
-    _nearest gives each row's nearest-neighbor distance, or on rows that
-    cannot hold the least a lower bound; then all pairs within (1 + 1e-9)
-    times the least distance are scanned with cdist.  The tree's and
-    cdist's sums of squares differ by a few ulps at most, so the margin
-    keeps every pair that cdist could rank smallest, and a row in such a
-    pair has its nearest neighbor within the margin too.
+    e is the _unit_scaled exponent of points unless given.  _nearest gives
+    each row's nearest-neighbor distance, or on rows that cannot hold the
+    least a lower bound; then the ball of every row within (1 + 1e-9) times
+    the least distance is queried and its pairs scanned with cdist.  The
+    tree's and cdist's sums of squares differ by a few ulps at most, so the
+    margin keeps every pair that cdist could rank smallest, and a row in
+    such a pair has its nearest neighbor within the margin too.
     """
     uniq = np.unique(points, axis=0)
     if uniq.shape[0] < 2:
         return None
-    unit, e = _unit_scaled(uniq)
+    if e is None:
+        unit, e = _unit_scaled(uniq)
+    else:
+        unit = np.ldexp(uniq, -e)
     tree = cKDTree(unit)
     nearest = _nearest(tree, unit)
-    best_sq = min(float(cdist(unit[head : head + 1], unit[others], metric="sqeuclidean").min())
-                  for head, others in _near_pairs(tree, nearest,
-                                                  float(nearest.min()) * (1.0 + 1e-9)))
-    return _ClosestPass(uniq, e, tree, nearest, best_sq)
+    reach = float(nearest.min()) * (1.0 + 1e-9)
+    heads = np.flatnonzero(nearest <= reach)
+    balls = tree.query_ball_point(unit[heads], reach, workers=_workers(heads.size * unit.shape[1]))
+    best_sq = math.inf
+    for head, ball in zip(heads, balls):
+        ball = np.asarray(ball)
+        others = ball[ball != head]
+        # A row with only a lower bound within reach may have no other row there.
+        if others.size:
+            sq = cdist(unit[head : head + 1], unit[others], metric="sqeuclidean")
+            best_sq = min(best_sq, float(sq.min()))
+    return _ClosestPass(uniq, e, nearest, best_sq)
 
 
 def min_nonzero_distance(points: np.ndarray) -> float | None:
@@ -399,11 +393,13 @@ def min_nonzero_distance(points: np.ndarray) -> float | None:
 def _rescaled_min(closest: _ClosestPass, scale: float) -> float:
     """min_nonzero_distance(points * scale) wherever that is below 1.
 
-    Otherwise the result is at least 1 (inf if no pair is left).  closest is
-    the pass over points; only the rows of pairs within the widened reach
-    that the normalize docstring derives are rescaled.
+    Otherwise the result is at least 1 (inf if fewer than two distinct rows
+    are left).  closest is the pass over points; the rows whose nearest
+    distance, or its lower bound, lies within the widened reach that the
+    normalize docstring derives are rescaled and passed again, at the unit
+    exponent e2 of the whole rescaled set.
     """
-    uniq, e, tree, nearest, best_sq = closest
+    uniq, e, nearest, best_sq = closest
     d = uniq.shape[1]
     top = float(np.abs(uniq).max())
     # Rounding is monotone, so fl(top·scale) is the largest rescaled |coordinate|.
@@ -412,15 +408,10 @@ def _rescaled_min(closest: _ClosestPass, scale: float) -> float:
     reach = ((limit * math.sqrt(best_sq)
               + 2.0 * _ROUNDOFF * math.sqrt(d) * math.ldexp(top, -e))
              * (1.0 + 4.0 * (d + 2) * _ROUNDOFF))
-    best_sq = math.inf
-    for head, others in _near_pairs(tree, nearest, reach):
-        rows = uniq[np.append(head, others)] * scale
-        # np.unique merges rows that rescaling made equal; skip those pairs.
-        others = rows[1:][np.any(rows[1:] != rows[0], axis=1)]
-        if len(others):
-            sq = cdist(np.ldexp(rows[:1], -e2), np.ldexp(others, -e2), metric="sqeuclidean")
-            best_sq = min(best_sq, float(sq.min()))
-    return _distance_from_unit_sq(best_sq, e2)
+    rescaled = _closest_pass(uniq[nearest <= reach] * scale, e2)
+    if rescaled is None:
+        return math.inf
+    return _distance_from_unit_sq(rescaled.best_sq, e2)
 
 
 def _delta_exponent(diag: float, c: float) -> int:
@@ -476,13 +467,13 @@ def normalize(ds: Dataset, c: float) -> tuple[Dataset, ScaleInfo]:
     One KD-tree pass (_closest_pass) gives the minimum distance m and the
     scale s = fl(1/m).  Rounding can leave the minimum of the rescaled
     points fl(x·s) a hair under 1, and the scale is then bumped by the
-    shortfall.  That rescaled minimum is taken over the pairs the same tree
-    finds within a widened reach, and wherever it is below 1 it equals what
-    a second full pass over fl(x·s) would give, to the bit.  (From
-    _TILE_MIN_DIM up, the pass keeps for most points only a float32 lower
-    bound on their nearest-neighbor distance; a point whose bound lies
-    within the reach has its ball queried like any other, so the pairs are
-    the same.)
+    shortfall.  That rescaled minimum comes from a second pass over the
+    rescaled rows whose nearest-neighbor distance in the first lies within
+    a widened reach, and wherever it is below 1 it equals what a full pass
+    over fl(x·s) would give, to the bit.  (From _TILE_MIN_DIM up, the first
+    pass keeps for most rows only a float32 lower bound on their
+    nearest-neighbor distance; a row in a pair within the reach has its
+    bound within it too.)
 
     - fl(x·s) moves each coordinate by at most u·M·s, with u = 2^-53 and M
       the largest |coordinate|, so a pair's rescaled distance D' and its
@@ -492,18 +483,20 @@ def normalize(ds: Dataset, c: float) -> tuple[Dataset, ScaleInfo]:
       DataRangeError).  Rounding is monotone and the squares are summed
       without cancellation, so the latter needs every coordinate gap below
       2^-511 at the unit exponent e2 of fl(M·s), the largest rescaled
-      |coordinate|.  So with L = max(1, √d·2^(e2-511)), every such pair has
+      |coordinate|; the second pass scales by 2^-e2 like the full pass.
+      So with L = max(1, √d·2^(e2-511)), every such pair has
       D' < L·(1 + (d+2)u): cdist's sum of squares and the square root add
       at most (d+2)u relative error.
     - With 1/s <= m/(1 - u), every such pair has
       D < L·m·(1 + (d+4)u) + 2u·√d·M.  The reach is that bound, in the
-      tree's unit-scaled coordinates, times 1 + 4(d+2)u, which also covers
-      the tree's own sums of squares.
-      Pairs outside it have a computed rescaled distance of at least 1 and
-      a normal squared gap, so leaving them out changes neither whether the
-      scale is bumped nor by how much.
-    - Rows that rescaling makes equal are skipped, since the full pass
-      removes duplicates first.
+      first pass's unit-scaled coordinates, times 1 + 4(d+2)u, which also
+      covers the tree's own sums of squares.
+      Both rows of such a pair lie within the reach.  Pairs among those
+      rows that lie outside it have a computed rescaled distance of at
+      least 1 and a normal squared gap, so counting them changes neither
+      whether the scale is bumped nor by how much.
+    - Rows that rescaling makes equal are merged by the second pass, as
+      the full pass removes duplicates first.
     """
     if c <= 0.5:
         raise ValueError(f"c must exceed 1/2, got {c}")
@@ -512,16 +505,12 @@ def normalize(ds: Dataset, c: float) -> tuple[Dataset, ScaleInfo]:
         return ds, ScaleInfo(1.0, 1.0, 0, EXTRA_LEVELS)
 
     min_d = _distance_from_unit_sq(closest.best_sq, closest.e)
-    if 1.0 <= min_d <= 1.0 + 1e-9:
-        # Already normalized: keep coordinates bit-identical (idempotence).
-        scale = 1.0
-        scaled = ds
-    else:
+    scale = 1.0
+    if not 1.0 <= min_d <= 1.0 + 1e-9:
         scale = 1.0 / min_d
         if math.isinf(scale):
             raise DataRangeError(f"the least distance between distinct points ({min_d:.3g}) "
                                  "is too small to rescale in float64")
-        scaled = Dataset(ds.points * scale)
         m2 = _rescaled_min(closest, scale)
         if m2 < 1.0:
             # Rounding pushed the rescaled minimum a hair under 1.  Bump the
@@ -530,7 +519,8 @@ def normalize(ds: Dataset, c: float) -> tuple[Dataset, ScaleInfo]:
             # re-rounding, so the margin guarantees min >= 1 without another
             # verification pass.
             scale *= (1.0 + 1e-12) / m2
-            scaled = Dataset(ds.points * scale)
+    # An already normalized input keeps its coordinates (idempotence).
+    scaled = ds if scale == 1.0 else Dataset(ds.points * scale)
 
     m = _delta_exponent(bbox_diagonal(scaled.points), c)
     return scaled, ScaleInfo(scale, _pow_2c(c, m), m, m + EXTRA_LEVELS)

@@ -48,6 +48,19 @@ class TestIngestCsv:
         with pytest.raises(cli.DataError, match="line 2.*nan"):
             cli.ingest(str(p))
 
+    @pytest.mark.parametrize("text, field", [
+        ("0,0\n3,,4\n", "field 2 is empty"),
+        ("0,0\n3,4,\n", "field 3 is empty"),
+        # float reads 1_5 as 15.
+        ("0,0\n1_5,4\n", "non-numeric field '1_5'"),
+    ], ids=["empty-field", "trailing-comma", "digit-group"])
+    def test_bad_field_is_data_error(self, tmp_path, capsys, text, field):
+        p = tmp_path / "bad.csv"
+        p.write_text(text)
+        assert run_cli("cluster", str(p), "--k", "1") == 3
+        errors = error_lines(capsys.readouterr().err)
+        assert errors == [f"error: {p}: line 2: {field}"]
+
     @pytest.mark.parametrize("command", ["cluster", "eval"])
     def test_non_utf8_is_data_error(self, tmp_path, capsys, command):
         p = tmp_path / "latin.csv"
@@ -517,6 +530,19 @@ class TestEval:
         run_cli("cluster", str(p), "--k", "4", "--eval-k", "1,4", "--out", str(out))
         assert run_cli("eval", str(out), str(p)) == 0
         assert "match" in capsys.readouterr().out
+
+    def test_early_stopped_report_evaluates_to_match(self, tmp_path, capsys):
+        # Three equal rows stop the ordering at one center, below k=2.
+        p = tmp_path / "same.csv"
+        p.write_text("1,1\n1,1\n1,1\n")
+        out = tmp_path / "r.json"
+        assert run_cli("cluster", str(p), "--k", "2", "--out", str(out)) == 0
+        result = json.loads(out.read_text())["result"]
+        assert result["early_terminated"] and result["achieved_k"] == 1
+        assert result["prefix_costs"] == {"2": 0.0}
+        capsys.readouterr()
+        assert run_cli("eval", str(out), str(p)) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "match"
 
     def test_report_from_another_dataset_is_data_error(self, tmp_path, capsys):
         p, _ = write_instance(tmp_path, n=4, seed=2)

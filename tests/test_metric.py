@@ -400,16 +400,32 @@ class TestTileFilter:
         _assert_min_matches_reference(points)
         _assert_normalize_matches_reference(points)
 
-    @pytest.mark.parametrize("d", [metric._TILE_MIN_DIM, 64])
+    @pytest.mark.parametrize("d", [2, 8, metric._TILE_MIN_DIM, 64])
     def test_ulp_steps_far_from_the_origin(self, d):
-        # Rows a few ulps apart far from the origin: the rescaled reach holds
-        # many rows whose nearest-neighbor distance is only bounded, and the
-        # rescaled minimum can come from a pair of them.
+        # Rows a few ulps apart far from the origin: nearly every row lies
+        # within the rescaled reach, so the rescaled pass takes nearly all of
+        # them.  From _TILE_MIN_DIM up, many have only a bounded
+        # nearest-neighbor distance, and the rescaled minimum can come from
+        # a pair of them.
         for seed in range(6):
             for span in (4, 16):
                 steps = np.random.default_rng(seed).integers(0, span, size=(400, d))
                 for scale in (1.0, 3.7):
                     _assert_normalize_matches_reference((1e9 + steps * np.spacing(1e9)) * scale)
+
+    def test_rescaled_minimum_is_one_pass(self, monkeypatch):
+        # Every row of these lies within the rescaled reach of every other,
+        # so a scan per row would make one cdist call per row (400).
+        calls = []
+
+        def counting_cdist(*args, **kwargs):
+            calls.append(1)
+            return cdist(*args, **kwargs)
+
+        monkeypatch.setattr(metric, "cdist", counting_cdist)
+        steps = np.random.default_rng(0).integers(0, 16, size=(400, 64))
+        normalize(Dataset((1e9 + steps * np.spacing(1e9)) * 3.7), 5.0)
+        assert len(calls) <= 8
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 400), st.sampled_from([metric._TILE_MIN_DIM, 64]),
