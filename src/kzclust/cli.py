@@ -187,8 +187,7 @@ def run_pipeline(ds: Dataset, params: ClusterParams, mode: str, delta: float | N
         t0 = time.perf_counter()
         centers = oracles.kmeanspp(ds, params.k, params.z, params.seed)
         timings["greedy_s"] = time.perf_counter() - t0
-        solution = greedy.Solution(centers=centers, traces=[], early_terminated=False,
-                                   achieved_k=len(centers))
+        solution = greedy.Solution(centers=centers, traces=[], early_terminated=False)
     else:
         t0 = time.perf_counter()
         scaled, info = normalize(ds, params.c)
@@ -312,19 +311,10 @@ def _parse_eval_ks(spec: str | None, k: int) -> list[int]:
     return ks
 
 
-def _make_params(args, n: int) -> ClusterParams:
-    # ClusterParams checks k, z and c; main maps its ValueError to exit 2.
-    given = {} if args.c is None else {"c": args.c}
-    params = ClusterParams(k=args.k, z=args.z, seed=args.seed, **given)
-    if params.c == 5 and args.algorithm == "greedy":
-        print("note: c=5 is the smallest supported trade-off value", file=sys.stderr)
-    if params.k > n:
-        raise UsageError(f"k={params.k} exceeds the dataset size n={n}")
-    _check_delta(args.delta_failure)
-    return params
-
-
-def _check_delta(delta: float | None) -> None:
+def _check_delta(delta: float | None, mode: str | None) -> None:
+    if delta is not None and mode == "exact":
+        # Exact mode draws no tables, so a failure probability means nothing.
+        raise UsageError("--delta-failure and --mode exact conflict; give at most one")
     if delta is not None and not 0.0 < delta < 1.0:
         raise UsageError(f"--delta-failure must be in (0, 1), got {delta}")
 
@@ -342,11 +332,20 @@ def _cmd_cluster(args) -> int:
                             ("--no-project", args.no_project or None)):
             if value is not None:
                 raise UsageError(f"{flag} and --algorithm kmeanspp conflict; give at most one")
-    ds = ingest(args.input, args.format)
-    params = _make_params(args, ds.n)
+    # ClusterParams checks k, z and c; main maps its ValueError to exit 2.
+    given = {} if args.c is None else {"c": args.c}
+    params = ClusterParams(k=args.k, z=args.z, seed=args.seed, **given)
+    _check_delta(args.delta_failure, args.mode)
     eval_ks = _parse_eval_ks(args.eval_k, args.k)
     if any(kk > args.k for kk in eval_ks):
         raise UsageError("--eval-k entries must not exceed k")
+    # Every flag is checked above, before the input is read; only k > n and a
+    # z whose ball values overflow (greedy.init raises it) need the data.
+    ds = ingest(args.input, args.format)
+    if params.c == 5 and args.algorithm == "greedy":
+        print("note: c=5 is the smallest supported trade-off value", file=sys.stderr)
+    if params.k > ds.n:
+        raise UsageError(f"k={params.k} exceeds the dataset size n={ds.n}")
     report = run_pipeline(ds, params, args.mode or greedy.DEFAULT_MODE, args.delta_failure,
                           args.project_dim, args.no_project, eval_ks, args.algorithm)
     _print_cluster_summary(report)
@@ -391,7 +390,11 @@ def _read_report(path: str, ds: Dataset) -> tuple[list[int], dict[str, float], f
     for key, recorded in prefix_costs.items():
         # A key past the centers is the whole ordering's cost, which a run
         # that stopped early records for every larger k.
-        if not (key.isdecimal() and 1 <= int(key) <= ds.n):
+        try:
+            in_range = key.isdecimal() and 1 <= int(key) <= ds.n
+        except ValueError:  # int refuses more digits than the interpreter's limit
+            in_range = False
+        if not in_range:
             raise DataError(f"{path}: prefix-cost key {key!r} is not an integer in [1, {ds.n}]")
         # Python's JSON reader accepts NaN, which fails this comparison, and
         # Infinity, 1e400 (read as inf) and integers past the float64 range.
@@ -425,7 +428,7 @@ def _cmd_bench(args) -> int:
         raise UsageError("--sizes must be positive integers")
     if len(set(sizes)) < len(sizes):
         raise UsageError(f"--sizes {args.sizes!r} repeats a size; the slope needs distinct ones")
-    _check_delta(args.delta_failure)
+    _check_delta(args.delta_failure, args.mode)
     result = run_bench(sizes, args.d, args.k, args.z, args.c, args.seed,
                        args.clusters, args.spread, args.mode, args.delta_failure)
     print(f"{'n':>8}  {'normalize':>10}  {'init':>10}  {'greedy':>10}  {'total':>10}")

@@ -62,7 +62,10 @@ class Solution:
     centers: list[int]
     traces: list[list[BallRef]]
     early_terminated: bool
-    achieved_k: int
+
+    @property
+    def achieved_k(self) -> int:
+        return len(self.centers)
 
     def prefix(self, k: int) -> list[int]:
         return self.centers[:k]
@@ -75,15 +78,15 @@ class AvailableSet:
     descending presort plus a cursor is the whole priority structure.  A
     ball (p, level) is available while the cursor has not passed it and p
     is live in that level's removal index; live holds those indexes' masks
-    as rows, read flat.  Ties break toward the smallest point id, then the
-    smallest level.
+    as rows, read flat at level·n + p.  The presort is one stable sort of
+    the values laid out point-major, so ties keep layout order: the
+    smallest point id, then the smallest level.
     """
 
     def __init__(self, values: np.ndarray, live: np.ndarray):
-        self.num_levels, self.n = values.shape
-        ids = np.tile(np.arange(self.n), self.num_levels)
-        levels = np.repeat(np.arange(self.num_levels), self.n)
-        self._order = np.lexsort((levels, ids, -values.ravel()))
+        levels, self.n = values.shape
+        by_point = np.argsort(-values.T.ravel(), kind="stable")
+        self._order = (by_point % levels) * self.n + by_point // levels
         self._live = live.reshape(-1)
         self._cursor = 0
 
@@ -256,7 +259,6 @@ def run(state: GreedyState, k: int) -> Solution:
         centers=list(state.centers),
         traces=[list(t) for t in state.traces],
         early_terminated=early,
-        achieved_k=len(state.centers),
     )
 
 

@@ -425,15 +425,6 @@ class NeighborhoodIndex(_LiveSet):
             return np.array([point_id] if self.live[point_id] else [], dtype=np.int64)
         return self._probe(point_id)
 
-    def _within_reach(self, cand: np.ndarray, point_id: int) -> np.ndarray:
-        """The candidates within c·R of the point, as int64."""
-        if cand.size == 0:
-            return cand.astype(np.int64)
-        diff = self.ds.points[cand] - self.ds.points[point_id]
-        sq = np.einsum("ij,ij->i", diff, diff)
-        reach = self.c * self.radius
-        return cand[sq <= reach * reach].astype(np.int64)
-
     def _probe(self, point_id: int) -> np.ndarray:
         """The tables' answer for a point, from its key in each table; ascending."""
         self.probes += 1
@@ -441,7 +432,10 @@ class NeighborhoodIndex(_LiveSet):
         w = self._cell_width
         near = np.asarray(self.ds.tree.query_ball_point(points[point_id], self._box, p=np.inf),
                           dtype=np.int64)
-        rest = self._within_reach(near[self.live[near]], point_id)
+        near = near[self.live[near]]
+        diff = points[near] - points[point_id]
+        reach = self.c * self.radius
+        rest = near[np.einsum("ij,ij->i", diff, diff) <= reach * reach]
         found = [rest[:0]]
         lo, step, ell = 0, _PROBE_FIRST_TABLES, self.num_tables
         while rest.size and lo < ell:

@@ -128,5 +128,4 @@ def transcribed_algorithm(ds: Dataset, params: ClusterParams, k: int | None = No
         centers.append(center)
         traces.append(trace)
 
-    return Solution(centers=centers, traces=traces, early_terminated=early,
-                    achieved_k=len(centers))
+    return Solution(centers=centers, traces=traces, early_terminated=early)

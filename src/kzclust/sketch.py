@@ -70,18 +70,16 @@ def rank_matrix(ids: np.ndarray, copies: int, seed: int) -> np.ndarray:
 def _median_estimate(registers: np.ndarray) -> np.ndarray | float:
     """Median over the last axis of 2^register, as np.median computes it.
 
-    The registers are partitioned as int8; for an even count the two middle
-    powers of two are averaged, which is exact, as in np.median.
+    The registers are partitioned as int8 at the two middle positions
+    (t-1)//2 and t//2, and the two powers of two there are averaged.  For an
+    odd count t both name the middle register, and doubling then halving a
+    power of two is exact; for an even count it is np.median's average.
     """
     t = registers.shape[-1]
-    mid = t // 2
-    if t % 2:
-        middle = np.partition(registers, mid, axis=-1)[..., mid]
-        return 2.0 ** middle.astype(np.float64)
-    middle = np.partition(registers, (mid - 1, mid), axis=-1)
-    lo = middle[..., mid - 1].astype(np.float64)
-    hi = middle[..., mid].astype(np.float64)
-    return (2.0**lo + 2.0**hi) / 2
+    lo, hi = (t - 1) // 2, t // 2
+    middle = np.partition(registers, (lo, hi), axis=-1)
+    return (2.0 ** middle[..., lo].astype(np.float64)
+            + 2.0 ** middle[..., hi].astype(np.float64)) / 2
 
 
 def exact_counts(ds: Dataset, radii: np.ndarray) -> np.ndarray:

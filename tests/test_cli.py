@@ -398,6 +398,20 @@ class TestCluster:
         errors = error_lines(capsys.readouterr().err)
         assert len(errors) == 1 and "--project-dim" in errors[0]
 
+    @pytest.mark.parametrize("flags, named", [
+        (("--z", "0.5"), "z must"),
+        (("--c", "4"), "c must"),
+        (("--delta-failure", "2"), "--delta-failure"),
+        # Exact mode draws no tables; the flag would be ignored but still reported.
+        (("--mode", "exact", "--delta-failure", "0.3"), "--delta-failure and --mode exact"),
+        (("--eval-k", "1,3"), "--eval-k"),
+    ], ids=["z", "c", "delta", "delta-exact", "eval-k"])
+    def test_bad_flag_is_usage_error_before_reading(self, tmp_path, capsys, flags, named):
+        missing = tmp_path / "absent.csv"
+        assert run_cli("cluster", str(missing), "--k", "2", *flags) == 2
+        errors = error_lines(capsys.readouterr().err)
+        assert len(errors) == 1 and named in errors[0]
+
     def test_subnormal_delta_failure_runs(self, tmp_path):
         # n·num_levels/delta overflows; the table count (1038 here) does not.
         p, _ = write_instance(tmp_path, n=200, d=3, seed=1)
@@ -563,6 +577,8 @@ class TestEval:
         lambda r, n: with_result(r, centers=[]),
         lambda r, n: with_result(r, centers=[cid - n for cid in r["result"]["centers"]]),
         lambda r, n: with_result(r, prefix_costs={"999": r["result"]["prefix_costs"]["3"]}),
+        # More digits than Python's int accepts from a string (4300 by default).
+        lambda r, n: with_result(r, prefix_costs={"1" + "0" * 4999: 0.0}),
         lambda r, n: with_result(r, prefix_costs={}),
         # Python's JSON reader takes Infinity, NaN, 1e400 (as inf) and integers
         # past the float64 range.
@@ -573,8 +589,8 @@ class TestEval:
         lambda r, n: with_result(r, prefix_costs={**r["result"]["prefix_costs"], "1": math.inf}),
         lambda r, n: with_result(r, prefix_costs={**r["result"]["prefix_costs"], "1": 10**400}),
     ], ids=["empty-object", "center-999", "not-json", "key-abc", "no-centers",
-            "negative-centers", "key-999", "no-prefix-costs", "z-infinity", "z-1e400",
-            "z-huge-int", "cost-nan", "cost-infinity", "cost-huge-int"])
+            "negative-centers", "key-999", "key-5000-digits", "no-prefix-costs", "z-infinity",
+            "z-1e400", "z-huge-int", "cost-nan", "cost-infinity", "cost-huge-int"])
     def test_malformed_report_is_data_error(self, tmp_path, capsys, edit):
         p, ds = write_instance(tmp_path, n=50, seed=5)
         out = tmp_path / "r.json"
@@ -586,6 +602,17 @@ class TestEval:
         assert "match" not in captured.out.split()
         assert captured.err.startswith(f"error: {out}: ")
         assert captured.err.count("\n") == 1
+
+    def test_zero_padded_key_is_read_as_its_integer(self, tmp_path, capsys):
+        p, _ = write_instance(tmp_path, n=25, seed=4)
+        out = tmp_path / "r.json"
+        assert run_cli("cluster", str(p), "--k", "3", "--out", str(out)) == 0
+        report = json.loads(out.read_text())
+        recorded = report["result"]["prefix_costs"]["3"]
+        out.write_text(with_result(report, prefix_costs={"003": recorded}))
+        capsys.readouterr()
+        assert run_cli("eval", str(out), str(p)) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "match"
 
 
 class TestBench:
@@ -608,6 +635,14 @@ class TestBench:
 
     def test_bad_sizes_usage_error(self):
         assert run_cli("bench", "--sizes", "ten,20") == 2
+
+    def test_delta_failure_with_exact_mode_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "bench.json"
+        assert run_cli("bench", "--sizes", "64", "--mode", "exact", "--delta-failure", "0.3",
+                       "--out", str(out)) == 2
+        errors = error_lines(capsys.readouterr().err)
+        assert len(errors) == 1 and "--delta-failure" in errors[0] and "--mode exact" in errors[0]
+        assert not out.exists()
 
     def test_repeated_sizes_usage_error(self, tmp_path, capsys):
         out = tmp_path / "bench.json"

@@ -124,6 +124,32 @@ class TestPop:
         assert len(rest) == len(set(rest))
         assert set(rest) == live - {head}
 
+    @pytest.mark.parametrize("dead", [0.0, 0.9], ids=["all-live", "removals"])
+    def test_pop_order_breaks_ties_by_id_then_level(self, dead):
+        # Few distinct counts give heavy ties across ids and levels, and the
+        # last level's R^z underflows, so its values are all zero.
+        rng = np.random.default_rng(11)
+        n = 500
+        rz = np.array([4.0, 1.0, 1.0, 0.25, 1e-200]) ** 2.0
+        values = rng.integers(0, 3, size=(len(rz), n)) * rz[:, None]
+        assert (values[-1] == 0).all() and len(np.unique(values)) < 10
+        live = rng.random(values.shape) >= dead
+        avail = greedy.AvailableSet(values, live)
+        ids = np.tile(np.arange(n), len(rz))
+        levels = np.repeat(np.arange(len(rz)), n)
+        ref = np.lexsort((levels, ids, -values.ravel()))
+        order = [greedy.BallRef(int(f % n), int(f // n)) for f in ref if live.flat[f]]
+        first = order[: len(order) // 3]
+        assert [avail.pop() for _ in first] == first
+        # Removals between pops: the rest follows the cursor over the new masks.
+        live &= rng.random(values.shape) >= dead
+        at = list(ref).index(first[-1].level * n + first[-1].point) + 1
+        rest = [greedy.BallRef(int(f % n), int(f // n)) for f in ref[at:] if live.flat[f]]
+        got = []
+        while (ball := avail.pop()) is not None:
+            got.append(ball)
+        assert got == rest
+
 
 class TestDescend:
     def test_singleton_descends_all_levels(self):
